@@ -17,6 +17,8 @@
 
 #include "json_reporter.h"
 #include "policy/synthetic.h"
+#include "rel/executor.h"
+#include "rel/parser.h"
 
 namespace {
 
@@ -170,6 +172,52 @@ void BM_Retrieval_Substitutions(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Retrieval_Substitutions)->Arg(64)->Arg(512)->Arg(4096);
+
+// Rel execution of one rewritten lease query, the stack benchmark's
+// acquire_wal shape: `Select Id, Id From Role38 Where Experience >= k
+// And ...` over a 64-row resource table that carries only its Id hash
+// index. §4.2 rewriting ANDs in one conjunct per applicable policy; the
+// arg is the conjunct count. CI asserts /12 ÷ /1 from the same run.
+void BM_Exec_RequirementScan(benchmark::State& state) {
+  using wfrm::rel::DataType;
+  using wfrm::rel::Value;
+  wfrm::rel::Database db;
+  auto table = db.CreateTable(
+      "Role38", wfrm::rel::Schema({{"Id", DataType::kString},
+                                   {"Experience", DataType::kInt},
+                                   {"Location", DataType::kString}}));
+  if (!table.ok() ||
+      !(*table)->CreateHashIndex("Role38_by_id", {"Id"}).ok()) {
+    std::abort();
+  }
+  for (int i = 0; i < 64; ++i) {
+    if (!(*table)
+             ->Insert({Value::String(std::to_string(1000 + i)), Value::Int(i),
+                       Value::String(i % 2 == 0 ? "PA" : "Cupertino")})
+             .ok()) {
+      std::abort();
+    }
+  }
+  // Thresholds 16, 15, 14, ...: rows below 16 fail the first conjunct,
+  // the other 48 pass every one, so each arg returns the same rows.
+  std::string sql = "Select Id, Id From Role38 Where Experience >= 16";
+  for (int64_t k = 1; k < state.range(0); ++k) {
+    sql += " And Experience >= ";
+    sql += std::to_string(16 - k);
+  }
+  auto stmt = wfrm::rel::SqlParser::ParseSelect(sql);
+  if (!stmt.ok()) std::abort();
+  wfrm::rel::Executor exec(&db);
+  size_t rows = 0;
+  for (auto _ : state) {
+    auto rs = exec.Execute(**stmt);
+    if (rs.ok()) rows += rs->rows.size();
+    benchmark::DoNotOptimize(rs);
+  }
+  state.counters["rows"] = benchmark::Counter(
+      static_cast<double>(rows), benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_Exec_RequirementScan)->Arg(1)->Arg(12);
 
 }  // namespace
 

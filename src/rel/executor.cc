@@ -48,6 +48,37 @@ struct Scope {
 
 bool IsTrue(const Value& v) { return v.is_bool() && v.bool_value(); }
 
+/// Applies comparison `op` to a three-way Value::Compare result.
+bool ComparisonHolds(BinaryOp op, int c) {
+  switch (op) {
+    case BinaryOp::kEq:
+      return c == 0;
+    case BinaryOp::kNe:
+      return c != 0;
+    case BinaryOp::kLt:
+      return c < 0;
+    case BinaryOp::kLe:
+      return c <= 0;
+    case BinaryOp::kGt:
+      return c > 0;
+    default:  // kGe; callers pass comparisons only.
+      return c >= 0;
+  }
+}
+
+/// Appends the leaves of the And tree rooted at `e`, in order.
+void FlattenAnd(const Expr& e, std::vector<const Expr*>* out) {
+  if (e.kind() == Expr::Kind::kBinary) {
+    const auto& b = static_cast<const BinaryExpr&>(e);
+    if (b.op() == BinaryOp::kAnd) {
+      FlattenAnd(b.left(), out);
+      FlattenAnd(b.right(), out);
+      return;
+    }
+  }
+  out->push_back(&e);
+}
+
 /// SQL LIKE matcher: '%' matches any sequence, '_' any single character.
 /// Iterative two-pointer algorithm with backtracking on the last '%'.
 bool LikeMatch(const std::string& text, const std::string& pattern) {
@@ -348,22 +379,7 @@ class Executor::Impl {
       }
       if (lp->is_null() || rp->is_null()) return Value::Null();
       WFRM_ASSIGN_OR_RETURN(int c, lp->Compare(*rp));
-      switch (e.op()) {
-        case BinaryOp::kEq:
-          return Value::Bool(c == 0);
-        case BinaryOp::kNe:
-          return Value::Bool(c != 0);
-        case BinaryOp::kLt:
-          return Value::Bool(c < 0);
-        case BinaryOp::kLe:
-          return Value::Bool(c <= 0);
-        case BinaryOp::kGt:
-          return Value::Bool(c > 0);
-        case BinaryOp::kGe:
-          return Value::Bool(c >= 0);
-        default:
-          return Status::Internal("unexpected comparison operator");
-      }
+      return Value::Bool(ComparisonHolds(e.op(), c));
     }
 
     WFRM_ASSIGN_OR_RETURN(Value l, Eval(e.left(), scope));
@@ -755,8 +771,10 @@ class Executor::Impl {
   /// cover every disjunct or it is not a superset of the WHERE result.
   std::optional<std::vector<IndexChoice>> ChooseMultiIndexAccess(
       const Relation& rel, const Expr* where, const Scope& const_scope) {
+    // Without an ordered index no probe group can be served, so skip the
+    // normalization (org resource tables carry only their Id hash index).
     if (!exec_.options_.use_indexes || rel.table == nullptr ||
-        where == nullptr) {
+        where == nullptr || rel.table->ordered_indexes().empty()) {
       return std::nullopt;
     }
     ProbeSet ps = NormalizeProbes(*where, rel, const_scope);
@@ -1037,11 +1055,7 @@ class Executor::Impl {
           JoinRelations(stmt, relations, outer, params, &joined));
     }
 
-    // Apply WHERE (for connect-by, WHERE filters the hierarchy output and
-    // may reference LEVEL; for joins it was already applied inside
-    // JoinRelations for efficiency -- re-checking is harmless and keeps
-    // the logic uniform, so JoinRelations leaves filtering to us when
-    // connect_by is absent only for the index/join fast path).
+    // WHERE has filtered `joined` already, in RunConnectBy or JoinRelations.
 
     // Build output.
     bool has_aggregate =
@@ -1060,8 +1074,10 @@ class Executor::Impl {
     return Project(stmt, relations, joined, levels, outer, params);
   }
 
-  /// Nested-loop join with WHERE applied at the innermost level; uses an
-  /// index access path for the first (often only) relation.
+  /// Enumerates the rows (or row tuples) passing WHERE: a bound scan for
+  /// a single relation, which may take an index access path, a hash join
+  /// for two-relation equi-joins, otherwise a nested loop with WHERE
+  /// applied at the innermost level.
   Status JoinRelations(const SelectStatement& stmt,
                        const std::vector<Relation>& relations,
                        const Scope* outer, const ParamMap& params,
@@ -1095,6 +1111,11 @@ class Executor::Impl {
           ++exec_.stats_.rows_scanned;
         }
       }
+    }
+
+    if (relations.size() == 1) {
+      return BoundScan(stmt.where.get(), relations, candidates[0], outer,
+                       params, joined);
     }
 
     // Two-relation equi-joins (the Figure 15 Relevant_Policies ⋈
@@ -1144,6 +1165,133 @@ class Executor::Impl {
     return st;
   }
 
+  /// The (relation index, column index) that `ref` names among the
+  /// statement's own FROM relations — the innermost step of EvalColumn,
+  /// done once per statement. Nullopt on no match or ambiguity.
+  static std::optional<std::pair<size_t, size_t>> ResolveLocalColumn(
+      const ColumnRefExpr& ref, const std::vector<Relation>& relations) {
+    std::optional<std::pair<size_t, size_t>> found;
+    for (size_t r = 0; r < relations.size(); ++r) {
+      if (!ref.qualifier().empty() &&
+          !EqualsIgnoreCase(ref.qualifier(), relations[r].binding_name)) {
+        continue;
+      }
+      if (auto col = relations[r].schema.FindColumn(ref.name())) {
+        if (found) return std::nullopt;  // Ambiguous.
+        found = {r, *col};
+      }
+    }
+    return found;
+  }
+
+  /// One top-level WHERE conjunct of a single-relation scan. A
+  /// `column op constant` comparison, in either operand order, is bound
+  /// once: the constant is a literal or a [param] bound in the
+  /// statement's ParamMap. Any other conjunct keeps `constant == nullptr`
+  /// and goes through the interpreter.
+  struct Conjunct {
+    const Expr* expr = nullptr;
+    const Value* constant = nullptr;
+    size_t column = 0;
+    BinaryOp op = BinaryOp::kEq;
+    bool column_on_left = true;
+  };
+
+  static Conjunct BindConjunct(const Expr& e,
+                               const std::vector<Relation>& relations,
+                               const ParamMap& params) {
+    Conjunct c;
+    c.expr = &e;
+    if (e.kind() != Expr::Kind::kBinary) return c;
+    const auto& b = static_cast<const BinaryExpr&>(e);
+    if (!IsComparison(b.op())) return c;
+    const bool column_on_left = b.left().kind() == Expr::Kind::kColumnRef;
+    const Expr& col_side = column_on_left ? b.left() : b.right();
+    const Expr& val_side = column_on_left ? b.right() : b.left();
+    if (col_side.kind() != Expr::Kind::kColumnRef) return c;
+    auto col = ResolveLocalColumn(static_cast<const ColumnRefExpr&>(col_side),
+                                  relations);
+    if (!col) return c;
+    if (val_side.kind() == Expr::Kind::kLiteral) {
+      c.constant = &static_cast<const LiteralExpr&>(val_side).value();
+    } else if (val_side.kind() == Expr::Kind::kParameter) {
+      auto it = params.find(static_cast<const ParameterExpr&>(val_side).name());
+      if (it != params.end()) c.constant = &it->second;
+    }
+    c.column = col->second;
+    c.op = b.op();
+    c.column_on_left = column_on_left;
+    return c;
+  }
+
+  /// Filters one relation's candidate rows by WHERE, resolved once per
+  /// execution instead of once per row: the top-level And tree flattens
+  /// in order into conjuncts, bound ones compare a cell with their
+  /// constant in place, and the rest are interpreted in one reused
+  /// Scope. Row order, stats and status match the interpreter.
+  Status BoundScan(const Expr* where, const std::vector<Relation>& relations,
+                   const std::vector<const Row*>& candidates,
+                   const Scope* outer, const ParamMap& params,
+                   std::vector<std::vector<const Row*>>* joined) {
+    std::vector<Conjunct> conjuncts;
+    if (where != nullptr) {
+      std::vector<const Expr*> leaves;
+      FlattenAnd(*where, &leaves);
+      conjuncts.reserve(leaves.size());
+      for (const Expr* leaf : leaves) {
+        conjuncts.push_back(BindConjunct(*leaf, relations, params));
+      }
+    }
+    Scope scope;
+    scope.parent = outer;
+    scope.params = &params;
+    scope.bindings.push_back(
+        Binding{&relations[0].binding_name, &relations[0].schema, nullptr});
+    for (const Row* row : candidates) {
+      scope.bindings[0].row = row;
+      WFRM_ASSIGN_OR_RETURN(bool keep, Matches(conjuncts, *row, scope));
+      if (!keep) continue;
+      ++exec_.stats_.rows_filtered;
+      joined->push_back({row});
+    }
+    return Status::OK();
+  }
+
+  /// The And chain's Kleene logic over `conjuncts` for the row bound in
+  /// `scope`. The first false conjunct ends the row, so later conjuncts
+  /// and their errors never run; NULL (unknown) keeps evaluating but
+  /// drops the row. A non-boolean conjunct is the And node's TypeError,
+  /// or just a filtered row when it is the whole WHERE.
+  Result<bool> Matches(const std::vector<Conjunct>& conjuncts, const Row& row,
+                       const Scope& scope) {
+    bool unknown = false;
+    for (const Conjunct& c : conjuncts) {
+      if (c.constant != nullptr) {
+        const Value& cell = row[c.column];
+        if (cell.is_null() || c.constant->is_null()) {
+          unknown = true;
+          continue;
+        }
+        WFRM_ASSIGN_OR_RETURN(int cmp, c.column_on_left
+                                           ? cell.Compare(*c.constant)
+                                           : c.constant->Compare(cell));
+        if (!ComparisonHolds(c.op, cmp)) return false;
+        continue;
+      }
+      WFRM_ASSIGN_OR_RETURN(Value v, Eval(*c.expr, scope));
+      if (v.is_null()) {
+        unknown = true;
+      } else if (!v.is_bool()) {
+        if (conjuncts.size() == 1) return false;
+        return Status::TypeError("boolean operator applied to " +
+                                 v.ToString());
+      } else if (!v.bool_value()) {
+        return false;
+      }
+    }
+    return !unknown;
+  }
+
   /// Collects top-level ANDed `a.col = b.col` conjuncts joining the two
   /// relations, as (column in relations[0], column in relations[1])
   /// pairs. Conjuncts that do not fit the shape are simply not collected
@@ -1163,25 +1311,10 @@ class Executor::Impl {
         b.right().kind() != Expr::Kind::kColumnRef) {
       return;
     }
-    // Resolve a column ref to (relation index, column index); fails on
-    // ambiguity or no match.
-    auto resolve = [&](const ColumnRefExpr& ref)
-        -> std::optional<std::pair<size_t, size_t>> {
-      std::optional<std::pair<size_t, size_t>> found;
-      for (size_t r = 0; r < relations.size(); ++r) {
-        if (!ref.qualifier().empty() &&
-            !EqualsIgnoreCase(ref.qualifier(), relations[r].binding_name)) {
-          continue;
-        }
-        if (auto col = relations[r].schema.FindColumn(ref.name())) {
-          if (found) return std::nullopt;  // Ambiguous.
-          found = {r, *col};
-        }
-      }
-      return found;
-    };
-    auto l = resolve(static_cast<const ColumnRefExpr&>(b.left()));
-    auto r = resolve(static_cast<const ColumnRefExpr&>(b.right()));
+    auto l = ResolveLocalColumn(static_cast<const ColumnRefExpr&>(b.left()),
+                                relations);
+    auto r = ResolveLocalColumn(static_cast<const ColumnRefExpr&>(b.right()),
+                                relations);
     if (!l || !r) return;
     if (l->first == 0 && r->first == 1) {
       keys->push_back({l->second, r->second});
@@ -1338,7 +1471,8 @@ class Executor::Impl {
     struct OutCol {
       std::string name;
       const Expr* expr;          // Null for star-expanded columns.
-      size_t rel_index = 0;      // For star-expanded columns.
+      bool direct = false;       // Read (rel_index, col_index), no Eval.
+      size_t rel_index = 0;
       size_t col_index = 0;
     };
     std::vector<OutCol> out_cols;
@@ -1346,37 +1480,47 @@ class Executor::Impl {
       if (item.is_star) {
         for (size_t r = 0; r < relations.size(); ++r) {
           for (size_t c = 0; c < relations[r].schema.num_columns(); ++c) {
-            out_cols.push_back(
-                OutCol{relations[r].schema.column(c).name, nullptr, r, c});
+            out_cols.push_back(OutCol{relations[r].schema.column(c).name,
+                                      nullptr, true, r, c});
           }
         }
-      } else {
-        std::string name = item.alias;
-        if (name.empty()) {
-          if (item.expr->kind() == Expr::Kind::kColumnRef) {
-            name = static_cast<const ColumnRefExpr*>(item.expr.get())->name();
-          } else {
-            name = item.expr->ToString();
-          }
-        }
-        out_cols.push_back(OutCol{std::move(name), item.expr.get(), 0, 0});
+        continue;
       }
+      OutCol oc{item.alias, item.expr.get()};
+      if (item.expr->kind() == Expr::Kind::kColumnRef) {
+        const auto& ref = static_cast<const ColumnRefExpr&>(*item.expr);
+        if (oc.name.empty()) oc.name = ref.name();
+        // Plain column items resolve once, unless LEVEL is in scope.
+        const bool is_level = !levels.empty() && ref.qualifier().empty() &&
+                              EqualsIgnoreCase(ref.name(), "level");
+        if (auto col = ResolveLocalColumn(ref, relations); col && !is_level) {
+          oc.direct = true;
+          oc.rel_index = col->first;
+          oc.col_index = col->second;
+        }
+      } else if (oc.name.empty()) {
+        oc.name = item.expr->ToString();
+      }
+      out_cols.push_back(std::move(oc));
     }
 
+    Scope scope;
+    scope.parent = outer;
+    scope.params = &params;
+    for (const Relation& rel : relations) {
+      scope.bindings.push_back(
+          Binding{&rel.binding_name, &rel.schema, nullptr});
+    }
     rs.rows.reserve(joined.size());
     for (size_t j = 0; j < joined.size(); ++j) {
-      Scope scope;
-      scope.parent = outer;
-      scope.params = &params;
       for (size_t i = 0; i < relations.size(); ++i) {
-        scope.bindings.push_back(Binding{&relations[i].binding_name,
-                                         &relations[i].schema, joined[j][i]});
+        scope.bindings[i].row = joined[j][i];
       }
       if (!levels.empty()) scope.level = levels[j];
       Row out;
       out.reserve(out_cols.size());
       for (const OutCol& oc : out_cols) {
-        if (oc.expr == nullptr) {
+        if (oc.direct) {
           out.push_back((*joined[j][oc.rel_index])[oc.col_index]);
         } else {
           WFRM_ASSIGN_OR_RETURN(Value v, Eval(*oc.expr, scope));
