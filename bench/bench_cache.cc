@@ -204,8 +204,9 @@ void BM_Obs_WarmPipelineMetricsOn(benchmark::State& state) {
 BENCHMARK(BM_Obs_WarmPipelineMetricsOn);
 
 // Concurrent warm retrieval: every thread reads through the shared
-// caches under the store's shared lock. items/s at Threads(8) over
-// items/s at Threads(1) is the reader-scaling acceptance figure.
+// caches under the store's shared lock. items_per_second at Threads(8)
+// over items_per_second at Threads(1) is the reader-scaling figure
+// (under UseRealTime() it is already the rate of all threads together).
 void BM_Cache_ConcurrentRetrieval(benchmark::State& state) {
   static auto* w = BuildWorkload().release();
   static auto* queries = new std::vector<rql::RqlQuery>(MakeQueries(*w, 64));
@@ -223,14 +224,6 @@ void BM_Cache_ConcurrentRetrieval(benchmark::State& state) {
         query.resource(), query.activity(), query.spec.AsParams()));
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
-  // items_per_second reports a per-thread rate (thread wall times are
-  // summed before the rate divide, cancelling the thread count).
-  // Scaling by threads() recovers the machine-wide retrieval rate;
-  // agg_rate(threads:8) / agg_rate(threads:1) is the reader-scaling
-  // acceptance figure.
-  state.counters["agg_rate"] = benchmark::Counter(
-      static_cast<double>(state.iterations()) * state.threads(),
-      benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_Cache_ConcurrentRetrieval)
     ->Threads(1)

@@ -143,11 +143,7 @@ void BM_Retrieval_SqlConcurrent(benchmark::State& state) {
     if (r.ok()) relevant += r->size();
   }
   benchmark::DoNotOptimize(relevant);
-  // Machine-wide retrieval rate (see BM_Cache_ConcurrentRetrieval for
-  // why the thread count multiplies back in).
-  state.counters["agg_rate"] = benchmark::Counter(
-      static_cast<double>(state.iterations()) * state.threads(),
-      benchmark::Counter::kIsRate);
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
 BENCHMARK(BM_Retrieval_SqlConcurrent)->Threads(1)->Threads(8)->UseRealTime();
 

@@ -7,7 +7,9 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <memory>
 #include <string>
+#include <utility>
 
 #include "store/durable_rm.h"
 #include "store/record.h"
@@ -211,6 +213,62 @@ void BM_Store_PagedIncrementalCheckpoint(benchmark::State& state) {
   RemoveDir(dir);
 }
 BENCHMARK(BM_Store_PagedIncrementalCheckpoint);
+
+/// One qualification and three requirements, all relevant to the job.
+constexpr char kAcquirePolicies[] =
+    "Qualify Programmer For Programming;"
+    "Require Programmer Where Location = 'PA' "
+    "  For Programming With NumberOfLines > 1000;"
+    "Require Programmer Where Experience > 1 "
+    "  For Programming With NumberOfLines > 5000;"
+    "Require Employee Where Location <> 'NY' "
+    "  For Activity With Location = 'PA';";
+
+/// The home every thread of one BM_Store_ConcurrentAcquire run shares.
+std::string g_acquire_dir;
+std::unique_ptr<store::DurableResourceManager> g_acquire_home;
+
+/// Acquire+Release pairs from 1 and 4 threads on one home at fsync
+/// off. Enforcement (rewrite plus a 256-row query) runs outside the
+/// home lock and only the claim and journal append inside, so
+/// items_per_second at threads:4 over threads:1 is the lock-scope
+/// figure CI gates. Google Benchmark averages thread wall times under
+/// UseRealTime(), so items_per_second is already the rate of all
+/// threads together.
+void BM_Store_ConcurrentAcquire(benchmark::State& state) {
+  if (state.thread_index() == 0) {
+    g_acquire_dir = MakeTempDir();
+    store::DurableOptions options;
+    options.fsync_mode = store::FsyncMode::kOff;
+    auto d = store::DurableResourceManager::Open(g_acquire_dir, options);
+    if (!d.ok() || !(*d)->ExecuteRdl(kRdl).ok()) std::abort();
+    for (int i = 0; i < 256; ++i) {
+      if (!(*d)->ExecuteRdl(InsertStatement(i)).ok()) std::abort();
+    }
+    if (!(*d)->AddPolicyText(kAcquirePolicies).ok()) std::abort();
+    g_acquire_home = std::move(*d);
+  }
+  // The first iteration starts only once every thread got here, so the
+  // home thread 0 built above is ready.
+  const char kJob[] =
+      "Select ContactInfo From Programmer Where Experience >= 5 "
+      "For Programming With NumberOfLines = 20000 And Location = 'PA'";
+  for (auto _ : state) {
+    auto lease = g_acquire_home->Acquire(kJob);
+    if (!lease.ok() || !g_acquire_home->Release(*lease).ok()) std::abort();
+  }
+  state.SetItemsProcessed(state.iterations());
+  // Every thread has left the loop before any passes its end.
+  if (state.thread_index() == 0) {
+    g_acquire_home.reset();
+    RemoveDir(g_acquire_dir);
+  }
+}
+BENCHMARK(BM_Store_ConcurrentAcquire)
+    ->Threads(1)
+    ->Threads(4)
+    ->UseRealTime()
+    ->MinTime(2);
 
 }  // namespace
 

@@ -625,14 +625,41 @@ Result<Lease> ResourceManager::Acquire(std::string_view rql_text,
   return AcquireExcluding(rql_text, org::ResourceRef{}, &ctx);
 }
 
+Lease ResourceManager::Claim(const QueryOutcome& outcome,
+                             const org::ResourceRef& excluded) {
+  const size_t n = outcome.candidates.size();
+  if (n > 0) {
+    const int64_t now = clock_->NowMicros();
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++acquire_count_;
+    const size_t start = PickCandidate(outcome.candidates);
+    for (size_t i = 0; i < n; ++i) {
+      const org::ResourceRef& ref = outcome.candidates[(start + i) % n];
+      if (!excluded.id.empty() && ref == excluded) continue;
+      Lease lease = TryClaimLocked(ref, now);
+      if (lease.valid()) return lease;
+    }
+  }
+  // Every candidate was claimed by a concurrent acquirer (or was the
+  // excluded resource).
+  if (metrics_.acquire_races != nullptr) metrics_.acquire_races->Increment();
+  return Lease{};
+}
+
+void ResourceManager::CountAcquire(bool granted) const {
+  obs::Counter* counter =
+      granted ? metrics_.acquire_ok : metrics_.acquire_failed;
+  if (counter != nullptr) counter->Increment();
+}
+
 Result<Lease> ResourceManager::AcquireExcluding(
     std::string_view rql_text, const org::ResourceRef& excluded,
     const RequestContext* ctx) {
   // Concurrent acquirers race between Submit's availability snapshot and
-  // the allocation; losing a race is handled by trying the remaining
+  // the claim; losing a race is handled by trying the remaining
   // candidates and, if all were snapped up, re-submitting (the fresh
   // snapshot excludes them). Bounded to rule out livelock.
-  for (int attempt = 0; attempt < 8; ++attempt) {
+  for (int attempt = 0; attempt < kMaxAcquireRounds; ++attempt) {
     // Retry boundary: a dead request gets no fresh snapshot. The claim
     // below is atomic, so a deadline passing mid-claim still yields the
     // lease — deadlines bound waiting, never undo grants.
@@ -641,41 +668,25 @@ Result<Lease> ResourceManager::AcquireExcluding(
                           ctx != nullptr ? Submit(rql_text, *ctx)
                                          : Submit(rql_text));
     if (!outcome.ok()) {
-      if (metrics_.acquire_failed != nullptr) {
-        metrics_.acquire_failed->Increment();
-      }
+      CountAcquire(false);
       return outcome.status;
     }
-
-    const int64_t now = clock_->NowMicros();
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++acquire_count_;
-    size_t start = PickCandidate(outcome.candidates);
-    for (size_t i = 0; i < outcome.candidates.size(); ++i) {
-      const org::ResourceRef& ref =
-          outcome.candidates[(start + i) % outcome.candidates.size()];
-      if (!excluded.id.empty() && ref == excluded) continue;
-      Lease lease = TryClaimLocked(ref, now);
-      if (lease.valid()) {
-        if (metrics_.acquire_ok != nullptr) metrics_.acquire_ok->Increment();
-        return lease;
-      }
+    Lease lease = Claim(outcome, excluded);
+    if (lease.valid()) {
+      CountAcquire(true);
+      return lease;
     }
-    // Every candidate was claimed by a concurrent acquirer (or was the
-    // excluded resource); retry with a fresh snapshot unless exclusion
-    // alone exhausted the outcome.
-    if (metrics_.acquire_races != nullptr) metrics_.acquire_races->Increment();
+    // Retry with a fresh snapshot unless exclusion alone exhausted the
+    // outcome.
     if (!excluded.id.empty() && outcome.candidates.size() == 1 &&
         outcome.candidates[0] == excluded) {
-      if (metrics_.acquire_failed != nullptr) {
-        metrics_.acquire_failed->Increment();
-      }
+      CountAcquire(false);
       return Status::ResourceUnavailable(
           "the only candidate is the excluded resource " +
           excluded.ToString());
     }
   }
-  if (metrics_.acquire_failed != nullptr) metrics_.acquire_failed->Increment();
+  CountAcquire(false);
   return Status::ResourceUnavailable(
       "could not claim any candidate under concurrent contention");
 }

@@ -254,6 +254,24 @@ class ResourceManager {
                                  const org::ResourceRef& excluded,
                                  const RequestContext* ctx = nullptr);
 
+  /// Claim rounds an acquire runs before giving up under contention.
+  static constexpr int kMaxAcquireRounds = 8;
+
+  /// The claim half of Acquire, which is Submit then Claim. Under the
+  /// allocation lock, takes the first candidate of `outcome` (a
+  /// successful Submit) that is still free and up, in allocation-strategy
+  /// order, never `excluded`. Returns an invalid lease when none is left
+  /// — one lost claim round, counted in wfrm_rm_acquire_races_total; the
+  /// caller re-submits for a fresh availability snapshot.
+  Lease Claim(const QueryOutcome& outcome,
+              const org::ResourceRef& excluded = {});
+
+  /// Counts one finished acquire in wfrm_rm_acquires_total{result}.
+  /// Acquire counts its own; a caller that runs Submit and Claim itself
+  /// (the durable layer journals between the claim and the reply)
+  /// reports here.
+  void CountAcquire(bool granted) const;
+
   // ---- Allocation bookkeeping ------------------------------------------
 
   /// Allocates a specific resource (it must exist and be up), returning

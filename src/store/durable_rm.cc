@@ -58,6 +58,12 @@ core::Lease FromDurableLease(core::Lease lease, int64_t now_micros) {
   return lease;
 }
 
+Result<core::QueryOutcome> SubmitUnder(const core::ResourceManager& rm,
+                                       std::string_view rql_text,
+                                       const RequestContext* ctx) {
+  return ctx != nullptr ? rm.Submit(rql_text, *ctx) : rm.Submit(rql_text);
+}
+
 }  // namespace
 
 DurableResourceManager::DurableResourceManager(std::string dir,
@@ -103,8 +109,12 @@ void DurableResourceManager::ResetWorldLocked() {
                                                 options_.rm_options);
   // A fresh world is fully resident until LoadWorldFromPagesLocked
   // defers it again.
-  org_hydrated_ = true;
+  org_hydrated_.store(true, std::memory_order_release);
   pending_org_rdl_.clear();
+  // Answers enforced against the replaced world are stale. The installs
+  // hold world_mu_ exclusively, so no unlocked enforcement overlaps the
+  // swap: one that ran before it sees this bump at claim time.
+  BumpGenerationLocked();
 }
 
 DurableResourceManager::~DurableResourceManager() = default;
@@ -364,7 +374,7 @@ Status DurableResourceManager::LoadWorldFromPagesLocked() {
   store_->set_delta_tracking(true);
   rm_->AdvanceLeaseId(meta.next_lease_id);
   seq_ = meta.last_seq;
-  org_hydrated_ = false;
+  org_hydrated_.store(false, std::memory_order_release);
   pending_org_rdl_.clear();
   org_dirty_ = false;
   dirty_lease_ids_.clear();
@@ -372,12 +382,15 @@ Status DurableResourceManager::LoadWorldFromPagesLocked() {
 }
 
 Status DurableResourceManager::EnsureOrgHydrated() const {
+  // Fast path: a resident world stays resident until an install replaces
+  // it, so reads and Acquire's unlocked phase skip mutate_mu_.
+  if (org_hydrated_.load(std::memory_order_acquire)) return Status::OK();
   std::lock_guard<std::mutex> lock(mutate_mu_);
   return EnsureOrgHydratedLocked();
 }
 
 Status DurableResourceManager::EnsureOrgHydratedLocked() const {
-  if (org_hydrated_) return Status::OK();
+  if (org_hydrated_.load(std::memory_order_relaxed)) return Status::OK();
   // Replay order is preserved: the checkpointed base first (RDL text,
   // then the lease table, each lease re-based onto the live clock), then
   // the buffered WAL-tail RDL records in journal order. Tail statements
@@ -396,7 +409,7 @@ Status DurableResourceManager::EnsureOrgHydratedLocked() const {
     (void)org::ExecuteRdl(text, org_.get());
   }
   pending_org_rdl_.clear();
-  org_hydrated_ = true;
+  org_hydrated_.store(true, std::memory_order_release);
   return Status::OK();
 }
 
@@ -423,7 +436,7 @@ void DurableResourceManager::ApplyRecord(const Record& record) {
   // than poisoning recovery.
   switch (record.type) {
     case RecordType::kRdl:
-      if (org_hydrated_) {
+      if (org_hydrated_.load(std::memory_order_relaxed)) {
         (void)org::ExecuteRdl(record.text, org_.get());
       } else {
         // Unhydrated paged base: buffer the tail record; hydration
@@ -515,6 +528,7 @@ Status DurableResourceManager::ExecuteRdl(std::string_view rdl_text) {
   Status applied = org::ExecuteRdl(rdl_text, org_.get());
   // Even a script that aborted mid-way mutated the org.
   org_dirty_ = true;
+  BumpGenerationLocked();
   Status checkpointed = MaybeCheckpointLocked();
   return applied.ok() ? checkpointed : applied;
 }
@@ -528,6 +542,7 @@ Status DurableResourceManager::AddPolicyText(std::string_view pl_text) {
   record.text = std::string(pl_text);
   WFRM_RETURN_NOT_OK(JournalLocked(std::move(record)));
   Status applied = store_->AddPolicyText(pl_text);
+  BumpGenerationLocked();
   Status checkpointed = MaybeCheckpointLocked();
   return applied.ok() ? checkpointed : applied;
 }
@@ -541,6 +556,7 @@ Status DurableResourceManager::RemoveQualification(int64_t pid) {
   record.id = pid;
   WFRM_RETURN_NOT_OK(JournalLocked(std::move(record)));
   Status applied = store_->RemoveQualification(pid);
+  BumpGenerationLocked();
   Status checkpointed = MaybeCheckpointLocked();
   return applied.ok() ? checkpointed : applied;
 }
@@ -554,6 +570,7 @@ Status DurableResourceManager::RemoveRequirementGroup(int64_t group) {
   record.id = group;
   WFRM_RETURN_NOT_OK(JournalLocked(std::move(record)));
   Status applied = store_->RemoveRequirementGroup(group);
+  BumpGenerationLocked();
   Status checkpointed = MaybeCheckpointLocked();
   return applied.ok() ? checkpointed : applied;
 }
@@ -567,6 +584,7 @@ Status DurableResourceManager::RemoveSubstitutionGroup(int64_t group) {
   record.id = group;
   WFRM_RETURN_NOT_OK(JournalLocked(std::move(record)));
   Status applied = store_->RemoveSubstitutionGroup(group);
+  BumpGenerationLocked();
   Status checkpointed = MaybeCheckpointLocked();
   return applied.ok() ? checkpointed : applied;
 }
@@ -580,33 +598,77 @@ Result<core::Lease> DurableResourceManager::Acquire(std::string_view rql_text,
   return AcquireImpl(rql_text, &ctx);
 }
 
+Result<core::QueryOutcome> DurableResourceManager::EnforceUnlocked(
+    std::string_view rql_text, const RequestContext* ctx,
+    uint64_t* generation) {
+  // The shared world lock only keeps an install from swapping
+  // org_/store_/rm_ underneath the enforcement.
+  std::shared_lock<std::shared_mutex> world(world_mu_);
+  WFRM_RETURN_NOT_OK(EnsureOrgHydrated());
+  // Read before enforcing: a mutation that applies after this load is
+  // caught at claim time even if the enforcement already saw it.
+  *generation = generation_.load(std::memory_order_acquire);
+  return SubmitUnder(*rm_, rql_text, ctx);
+}
+
 Result<core::Lease> DurableResourceManager::AcquireImpl(
     std::string_view rql_text, const RequestContext* ctx) {
-  std::lock_guard<std::mutex> lock(mutate_mu_);
-  // Checked after the lock: the wait for mutate_mu_ may itself have
-  // eaten the budget, and starting enforcement now would be pure waste.
-  WFRM_RETURN_NOT_OK(CheckRequestAlive(ctx));
-  WFRM_RETURN_NOT_OK(WritableLocked());
-  WFRM_RETURN_NOT_OK(EnsureOrgHydratedLocked());
-  // Grants journal after apply: the record carries the *outcome* (which
-  // resource, which id), which does not exist beforehand. The crash
-  // window loses only unacknowledged grants. Once the claim landed the
-  // lease is journaled and returned even if the deadline passed during
-  // the claim — a typed failure here would leak the allocation.
-  WFRM_ASSIGN_OR_RETURN(core::Lease lease,
-                        ctx != nullptr ? rm_->Acquire(rql_text, *ctx)
-                                       : rm_->Acquire(rql_text));
-  Record record;
-  record.type = RecordType::kLeaseAcquire;
-  record.lease = ToDurableLease(lease, rm_->clock().NowMicros());
-  Status journaled = JournalLocked(std::move(record));
-  if (!journaled.ok()) {
-    (void)rm_->Release(lease);  // Keep state ⊆ journal.
-    return journaled;
+  for (int round = 1;; ++round) {
+    // Phase 1, no home lock: enforcement is a read (rewrite plus a query
+    // over the org model) and the bulk of an Acquire.
+    uint64_t generation = 0;
+    Result<core::QueryOutcome> submitted =
+        EnforceUnlocked(rql_text, ctx, &generation);
+    if (between_acquire_phases_) between_acquire_phases_();
+
+    // Phase 2, under mutate_mu_: claim and journal stay atomic, so a
+    // checkpoint never captures an unjournaled grant. The unlocked
+    // outcome is used only once the checks below pass. Liveness is
+    // checked after the lock: waiting for it may have eaten the budget.
+    std::lock_guard<std::mutex> lock(mutate_mu_);
+    WFRM_RETURN_NOT_OK(CheckRequestAlive(ctx));
+    WFRM_RETURN_NOT_OK(WritableLocked());
+    WFRM_RETURN_NOT_OK(EnsureOrgHydratedLocked());
+    if (generation_.load(std::memory_order_relaxed) != generation) {
+      // A mutation applied since phase 1 read the generation: that
+      // answer may rest on a base no longer in force. Enforce again here,
+      // where nothing can move — a mutation burst never starves the
+      // request.
+      submitted = SubmitUnder(*rm_, rql_text, ctx);
+    }
+    WFRM_ASSIGN_OR_RETURN(core::QueryOutcome outcome, std::move(submitted));
+    if (!outcome.ok()) {
+      rm_->CountAcquire(false);
+      return outcome.status;
+    }
+    core::Lease lease = rm_->Claim(outcome);
+    if (!lease.valid()) {
+      // Concurrent acquirers claimed every candidate between the phases:
+      // re-submit for a fresh snapshot, bounded like AcquireExcluding.
+      if (round < core::ResourceManager::kMaxAcquireRounds) continue;
+      rm_->CountAcquire(false);
+      return Status::ResourceUnavailable(
+          "could not claim any candidate under concurrent contention");
+    }
+    // Grants journal after apply: the record carries the *outcome* (which
+    // resource, which id), which does not exist beforehand. The crash
+    // window loses only unacknowledged grants. Once the claim landed the
+    // lease is journaled and returned even if the deadline passed — a
+    // typed failure here would leak the allocation.
+    Record record;
+    record.type = RecordType::kLeaseAcquire;
+    record.lease = ToDurableLease(lease, rm_->clock().NowMicros());
+    Status journaled = JournalLocked(std::move(record));
+    if (!journaled.ok()) {
+      (void)rm_->Release(lease);  // Keep state ⊆ journal.
+      rm_->CountAcquire(false);
+      return journaled;
+    }
+    rm_->CountAcquire(true);
+    dirty_lease_ids_.insert(lease.id);
+    (void)MaybeCheckpointLocked();
+    return lease;
   }
-  dirty_lease_ids_.insert(lease.id);
-  (void)MaybeCheckpointLocked();
-  return lease;
 }
 
 Result<core::Lease> DurableResourceManager::AllocateLease(
@@ -954,6 +1016,9 @@ Result<SnapshotData> DurableResourceManager::CaptureSnapshot() const {
 }
 
 Status DurableResourceManager::InstallSnapshot(const SnapshotData& data) {
+  // The install replaces org_/store_/rm_; the world lock keeps Acquire's
+  // unlocked enforcement off them for the swap.
+  std::unique_lock<std::shared_mutex> world(world_mu_);
   std::lock_guard<std::mutex> lock(mutate_mu_);
   // Persist before apply: the durable image committed and WAL emptied
   // first, so a crash anywhere mid-install recovers to exactly `data`.
@@ -1012,6 +1077,8 @@ DurableResourceManager::CaptureCatchupImage() {
 }
 
 Status DurableResourceManager::InstallPagedImage(std::string_view bytes) {
+  // Replaces the in-memory world, like InstallSnapshot.
+  std::unique_lock<std::shared_mutex> world(world_mu_);
   std::lock_guard<std::mutex> lock(mutate_mu_);
   if (options_.backend != StorageBackend::kPaged) {
     return Status::InvalidArgument(
@@ -1075,6 +1142,9 @@ Status DurableResourceManager::ApplyReplicated(const Record& record) {
   ReportSyncsLocked();
   ++records_since_checkpoint_;
   ApplyRecord(record);
+  // A standby refuses Acquire, so a replicated lease record bumping too
+  // costs nothing.
+  BumpGenerationLocked();
   return MaybeCheckpointLocked();
 }
 

@@ -1,9 +1,12 @@
 #ifndef WFRM_STORE_DURABLE_RM_H_
 #define WFRM_STORE_DURABLE_RM_H_
 
+#include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
+#include <shared_mutex>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -124,9 +127,20 @@ struct RecoveryInfo {
 /// recovering clock, giving a lease exactly the time it had left when
 /// its record was written.
 ///
-/// Mutations are serialized by an internal mutex (journal order must
-/// equal apply order); reads delegate to the underlying objects, which
-/// are internally synchronized.
+/// Journaled mutations are serialized by `mutate_mu_` (journal order
+/// must equal apply order); reads delegate to the underlying objects,
+/// which are internally synchronized. Acquire is a read followed by a
+/// mutation, and locks only the mutation: it enforces the request with
+/// no home lock held, then, under `mutate_mu_`, re-checks liveness,
+/// writability and hydration, compares the home's *answer generation*
+/// and claims and journals the grant. Every mutation that can change an
+/// answer (RDL, policy add/remove, replicated records, world installs)
+/// bumps the generation after it applies; when it moved between the two
+/// phases the request is enforced again under the lock, so a grant
+/// always answers the base in force at its journal position. The two
+/// install paths replace the in-memory world and hold `world_mu_`
+/// exclusively; the unlocked enforcement holds it shared. Lock order:
+/// `world_mu_`, then `mutate_mu_` (DESIGN.md §8, §10).
 class DurableResourceManager {
  public:
   /// Opens (or creates) the durable home `dir`, reconstructing state
@@ -279,8 +293,7 @@ class DurableResourceManager {
   /// False while the paged org/lease base is still on disk only (the
   /// snapshot backend and a hydrated paged store report true).
   bool org_hydrated() const {
-    std::lock_guard<std::mutex> lock(mutate_mu_);
-    return org_hydrated_;
+    return org_hydrated_.load(std::memory_order_acquire);
   }
 
   /// This store's enforcement epoch (policy-store mutations plus org
@@ -315,6 +328,14 @@ class DurableResourceManager {
     wal_.TestFailNextAppend(partial_bytes);
   }
 
+  /// Test-only: runs `hook` inside every Acquire between its unlocked
+  /// enforcement and its locked claim, with no lock held — the window a
+  /// concurrent mutation can land in. Set or clear (empty function) it
+  /// only while no Acquire is in flight.
+  void TestSetBetweenAcquirePhases(std::function<void()> hook) {
+    between_acquire_phases_ = std::move(hook);
+  }
+
  private:
   DurableResourceManager(std::string dir, DurableOptions options);
 
@@ -323,7 +344,8 @@ class DurableResourceManager {
   /// half-written stores with a one-line error.
   Status ValidateHome();
   /// (Re)creates the empty in-memory world (org + store + rm), rewiring
-  /// metrics. Used at construction and by InstallSnapshot.
+  /// metrics, and bumps the answer generation. Used at construction and
+  /// by the two install paths, which hold world_mu_ exclusively.
   void ResetWorldLocked();
   /// Restores `data` into the in-memory world (shared by Recover and
   /// InstallSnapshot).
@@ -335,6 +357,11 @@ class DurableResourceManager {
 
   Result<core::Lease> AcquireImpl(std::string_view rql_text,
                                   const RequestContext* ctx);
+  /// Acquire's first phase: enforces `rql_text` with no home lock and
+  /// reports the answer generation it enforced under.
+  Result<core::QueryOutcome> EnforceUnlocked(std::string_view rql_text,
+                                             const RequestContext* ctx,
+                                             uint64_t* generation);
 
   Status Recover();
   /// Paged-backend half of Recover(): opens pages.db (migrating a
@@ -347,8 +374,9 @@ class DurableResourceManager {
   /// Lazy org/lease hydration: loads the checkpointed RDL text and the
   /// lease table from pages_, then replays any buffered WAL-tail RDL
   /// records in journal order. No-op once hydrated (or on the snapshot
-  /// backend, which restores eagerly). const because reads trigger it;
-  /// only the `mutable` hydration state changes.
+  /// backend, which restores eagerly); a hydrated home returns without
+  /// taking mutate_mu_. const because reads trigger it; only the
+  /// `mutable` hydration state changes.
   Status EnsureOrgHydrated() const;
   Status EnsureOrgHydratedLocked() const;
   /// Removes orphaned `*.tmp` files left by a checkpoint that crashed
@@ -362,6 +390,12 @@ class DurableResourceManager {
   /// Journals one record for a mutation that just succeeded; assigns
   /// the next sequence number. Caller holds mutate_mu_.
   Status JournalLocked(Record record);
+  /// Marks every answer enforced before now as possibly stale. Called
+  /// under mutate_mu_ after a mutation that can change an answer has
+  /// applied.
+  void BumpGenerationLocked() {
+    generation_.fetch_add(1, std::memory_order_release);
+  }
   /// Auto-checkpoint trigger; called after a journaled mutation has
   /// been applied (never between journal and apply — the snapshot would
   /// claim a seq whose effect it lacks, and truncation would lose it).
@@ -395,15 +429,26 @@ class DurableResourceManager {
   /// The org model changed since the last paged checkpoint (RDL ran);
   /// forces an RDL text rewrite in the sys tree.
   bool org_dirty_ = false;
-  /// False while the paged org/lease base is still disk-only. Guarded
-  /// by mutate_mu_; mutable so const reads can hydrate.
-  mutable bool org_hydrated_ = true;
+  /// False while the paged org/lease base is still disk-only. Written
+  /// under mutate_mu_ (set last, with release order, once hydration
+  /// completes); read lock-free by the EnsureOrgHydrated fast path.
+  mutable std::atomic<bool> org_hydrated_{true};
   /// WAL-tail RDL records replayed before hydration: applying them
   /// needs the checkpointed base underneath, so they wait for it in
   /// journal order instead of forcing an O(dataset) load at Open().
   mutable std::vector<std::string> pending_org_rdl_;
 
+  /// Held shared by Acquire's unlocked enforcement and exclusively by
+  /// InstallSnapshot / InstallPagedImage, which replace org_, store_ and
+  /// rm_. Never waited for while mutate_mu_ is held.
+  std::shared_mutex world_mu_;
   mutable std::mutex mutate_mu_;
+  /// The answer generation: bumped (under mutate_mu_, after apply) by
+  /// every mutation that can change what an enforced request answers.
+  /// Lease records do not bump it — Claim re-checks held and down
+  /// resources itself. Not the store epoch: that ignores relationship
+  /// and instance inserts, which a Where subquery can read.
+  std::atomic<uint64_t> generation_{0};
   WalWriter wal_;
   uint64_t seq_ = 0;
   size_t records_since_checkpoint_ = 0;
@@ -415,6 +460,7 @@ class DurableResourceManager {
   /// empty = none. The WAL-latch reason is derived from wal_.healthy().
   std::string external_degraded_reason_;
   bool standby_ = false;
+  std::function<void()> between_acquire_phases_;
 
   /// Null when no registry is configured.
   struct Instruments {

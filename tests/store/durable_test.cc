@@ -1,6 +1,6 @@
 // DurableResourceManager: open/mutate/reopen equality, checkpoint
 // truncation, the two checkpoint crash windows, torn tails, SaveWorld,
-// and the WAL/snapshot metrics.
+// the WAL/snapshot metrics and the acquire counters.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -8,9 +8,11 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "common/clock.h"
 #include "core/resource_manager.h"
@@ -546,6 +548,68 @@ TEST_F(DurableTest, MetricsCoverWalSnapshotAndReplay) {
   EXPECT_EQ(
       reopen_registry.GetHistogram("wfrm_store_replay_micros", {})->Count(),
       1u);
+}
+
+// Durable Acquire enforces unlocked and claims under the home lock; the
+// acquire counters keep their in-memory meanings across that split.
+TEST_F(DurableTest, AcquireMetricsCountJournaledGrantsRacesAndResubmits) {
+  obs::MetricsRegistry registry;
+  DurableOptions options;
+  options.rm_options.metrics = &registry;
+  auto d = OpenWithWorkload(options);  // One grant: alice.
+  ASSERT_NE(d, nullptr);
+  auto count = [&registry](const std::string& name,
+                           const obs::LabelMap& labels = {}) {
+    return registry.GetCounter(name, labels)->Value();
+  };
+  auto once = [](std::function<void()> fn) {
+    return [fn = std::move(fn), fired = false]() mutable {
+      if (!fired) {
+        fired = true;
+        fn();
+      }
+    };
+  };
+  const org::ResourceRef alice{"Programmer", "alice"};
+  EXPECT_EQ(count("wfrm_rm_acquires_total", {{"result", "ok"}}), 1u);
+  EXPECT_EQ(count("wfrm_rm_submits_total", {{"result", "ok"}}), 1u);
+  ASSERT_TRUE(d->Release(alice).ok());
+
+  // A policy mutation between the phases moves the answer generation:
+  // the request is enforced again under the lock, one more Submit.
+  d->TestSetBetweenAcquirePhases(once([&d] {
+    ASSERT_TRUE(d->AddPolicyText("Require Programmer Where Location = 'PA' "
+                                 "For Programming With NumberOfLines > 1;")
+                    .ok());
+  }));
+  auto lease = d->Acquire(kBigJob);
+  ASSERT_TRUE(lease.ok()) << lease.status().ToString();
+  EXPECT_EQ(count("wfrm_rm_submits_total", {{"result", "ok"}}), 3u);
+  EXPECT_EQ(count("wfrm_rm_acquires_total", {{"result", "ok"}}), 2u);
+  ASSERT_TRUE(d->Release(*lease).ok());
+
+  // A nested Acquire between the phases takes the only candidate: the
+  // outer claim round is lost (a race), its re-submit finds nothing
+  // free (one failed acquire), and the nested grant counts ok.
+  Result<core::Lease> nested = Status::Internal("hook did not run");
+  d->TestSetBetweenAcquirePhases(
+      once([&d, &nested] { nested = d->Acquire(kBigJob); }));
+  auto lost = d->Acquire(kBigJob);
+  d->TestSetBetweenAcquirePhases(nullptr);
+  ASSERT_TRUE(nested.ok()) << nested.status().ToString();
+  EXPECT_EQ(nested->resource, alice);
+  EXPECT_EQ(lost.status().code(), StatusCode::kResourceUnavailable);
+  EXPECT_EQ(count("wfrm_rm_acquire_races_total"), 1u);
+  EXPECT_EQ(count("wfrm_rm_acquires_total", {{"result", "ok"}}), 3u);
+  EXPECT_EQ(count("wfrm_rm_acquires_total", {{"result", "failed"}}), 1u);
+  ASSERT_TRUE(d->Release(*nested).ok());
+
+  // A grant whose journal append fails is rolled back and counts failed.
+  d->TestFailNextJournal(3);
+  EXPECT_FALSE(d->Acquire(kBigJob).ok());
+  EXPECT_FALSE(d->rm().IsAllocated(alice));
+  EXPECT_EQ(count("wfrm_rm_acquires_total", {{"result", "ok"}}), 3u);
+  EXPECT_EQ(count("wfrm_rm_acquires_total", {{"result", "failed"}}), 2u);
 }
 
 }  // namespace
