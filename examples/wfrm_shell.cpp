@@ -151,7 +151,7 @@ struct Shell {
         reason.find("WAL") != std::string::npos ||
         (durable && !durable->wal_healthy());
     if (wal_broken) {
-      std::cout << "  repair: 'save' — a checkpoint rewrites the snapshot "
+      std::cout << "  repair: 'save' — a checkpoint commits pages.db "
                    "and starts a fresh WAL\n";
     } else if (cluster) {
       std::cout << "  repair: 'kill <i>' promotes the shard's standby; "
@@ -620,6 +620,12 @@ struct Shell {
       if (path.empty()) {
         std::cout << "usage: open <dir>\n";
         return true;
+      }
+      if (durable && path == durable->dir()) {
+        // Reopening the held home: release it (and the replication fed
+        // from it) first, or the home lock refuses the second open.
+        DropReplication();
+        durable.reset();
       }
       auto opened = store::DurableResourceManager::Open(path);
       if (!opened.ok()) {

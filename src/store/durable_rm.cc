@@ -1,5 +1,7 @@
 #include "store/durable_rm.h"
 
+#include <sys/stat.h>
+
 #include <chrono>
 #include <filesystem>
 #include <utility>
@@ -7,6 +9,7 @@
 #include "org/rdl_dump.h"
 #include "org/rdl_parser.h"
 #include "store/fingerprint.h"
+#include "store/snapshot.h"
 
 namespace wfrm::store {
 
@@ -41,7 +44,7 @@ int64_t NowMicros() {
 // journaled by one process would be nonsense to the process replaying
 // it after a restart — a recovered lease could look live for hours or
 // expired on arrival. ToDurableLease subtracts "now" at journal or
-// snapshot time; FromDurableLease re-bases onto the recovering clock,
+// checkpoint time; FromDurableLease re-bases onto the recovering clock,
 // so a restored lease gets exactly the lifetime it had left when its
 // record was written. kNoExpiry passes through unchanged.
 core::Lease ToDurableLease(core::Lease lease, int64_t now_micros) {
@@ -64,6 +67,29 @@ Result<core::QueryOutcome> SubmitUnder(const core::ResourceManager& rm,
   return ctx != nullptr ? rm.Submit(rql_text, *ctx) : rm.Submit(rql_text);
 }
 
+/// Commits `data` into `pages` as one full generation: every tree
+/// rewritten, the counters in the meta. Folds a legacy snapshot.dat into
+/// pages.db at Open and writes SaveWorld's capture.
+Status CommitImage(PageStore* pages, const SnapshotData& data) {
+  WFRM_RETURN_NOT_OK(pages->RewritePolicyImage(data.policy_image));
+  WFRM_RETURN_NOT_OK(pages->RewriteRdl(data.rdl_text));
+  WFRM_RETURN_NOT_OK(pages->RewriteLeases(data.leases));
+  PageStoreMeta meta;
+  meta.last_seq = data.last_seq;
+  meta.next_lease_id = data.next_lease_id;
+  meta.next_pid = data.policy_image.next_pid;
+  meta.next_group = data.policy_image.next_group;
+  meta.epoch = data.policy_image.epoch;
+  return pages->Commit(meta);
+}
+
+/// Identity of the file `path` names (0 when there is none). A rename
+/// over `path` changes it whenever the replaced file is still open.
+ino_t FileId(const std::string& path) {
+  struct stat st {};
+  return ::stat(path.c_str(), &st) == 0 ? st.st_ino : 0;
+}
+
 }  // namespace
 
 DurableResourceManager::DurableResourceManager(std::string dir,
@@ -79,15 +105,16 @@ DurableResourceManager::DurableResourceManager(std::string dir,
                                          "WAL fsync calls issued.");
     metrics_.wal_truncations =
         reg->GetCounter("wfrm_store_wal_truncations_total", {},
-                        "WAL truncations after successful snapshots.");
+                        "WAL truncations after successful checkpoints.");
     metrics_.snapshots = reg->GetCounter("wfrm_store_snapshots_total", {},
-                                         "Snapshots committed.");
+                                         "Checkpoints committed to pages.db.");
     metrics_.replayed_records =
         reg->GetCounter("wfrm_store_replayed_records_total", {},
                         "WAL records re-applied during recovery.");
     metrics_.replay_latency = reg->GetHistogram(
         "wfrm_store_replay_micros", obs::Histogram::LatencyBucketsMicros(), {},
-        "Open() recovery time (snapshot load + WAL replay) in microseconds.");
+        "Open() recovery time (pages.db attach + WAL replay) in "
+        "microseconds.");
     metrics_.wal_broken = reg->GetGauge(
         "wfrm_store_wal_broken", {},
         "1 when the WAL writer has latched broken after a failed append; "
@@ -111,8 +138,8 @@ void DurableResourceManager::ResetWorldLocked() {
   // defers it again.
   org_hydrated_.store(true, std::memory_order_release);
   pending_org_rdl_.clear();
-  // Answers enforced against the replaced world are stale. The installs
-  // hold world_mu_ exclusively, so no unlocked enforcement overlaps the
+  // Answers enforced against the replaced world are stale. The install
+  // holds world_mu_ exclusively, so no unlocked enforcement overlaps the
   // swap: one that ran before it sees this bump at claim time.
   BumpGenerationLocked();
 }
@@ -144,8 +171,8 @@ Result<std::unique_ptr<DurableResourceManager>> DurableResourceManager::Open(
 }
 
 void DurableResourceManager::ReapOrphanTmpFiles() {
-  // A `.tmp` in the home is pre-rename scratch from a checkpoint or
-  // durable-file write that crashed before its commit point. We hold
+  // A `.tmp` in the home is pre-rename scratch from a durable-file
+  // write that crashed before its commit point. We hold
   // the home lock, so no live writer can own one — reap them all.
   std::error_code ec;
   std::filesystem::directory_iterator it(dir_, ec);
@@ -245,8 +272,15 @@ Status DurableResourceManager::SaveWorld(const std::string& dir,
   }
   data.next_lease_id = rm.next_lease_id();
   data.last_seq = 0;
-  WFRM_RETURN_NOT_OK(WriteSnapshot(dir + "/snapshot.dat", data));
-  // Start with an empty log: the snapshot is the whole history.
+  {
+    WFRM_ASSIGN_OR_RETURN(std::unique_ptr<PageStore> pages,
+                          PageStore::Open(dir + "/pages.db"));
+    WFRM_RETURN_NOT_OK(CommitImage(pages.get(), data));
+  }
+  // A legacy snapshot.dat left in `dir` would fold over the capture at
+  // the next Open.
+  std::filesystem::remove(dir + "/snapshot.dat", ec);
+  // Start with an empty log: pages.db is the whole history.
   WalWriter wal;
   WFRM_RETURN_NOT_OK(
       wal.Open(dir + "/wal.log", FsyncMode::kOff, 0, /*valid_bytes=*/0));
@@ -258,19 +292,32 @@ Status DurableResourceManager::SaveWorld(const std::string& dir,
 
 Status DurableResourceManager::Recover() {
   const int64_t start = NowMicros();
+  WFRM_ASSIGN_OR_RETURN(std::shared_ptr<PageStore> pages,
+                        PageStore::Open(PagesPath(), options_.pager));
+  pages_ = std::move(pages);
 
-  if (options_.backend == StorageBackend::kPaged) {
-    WFRM_RETURN_NOT_OK(RecoverPagedBase());
-  } else {
-    Result<SnapshotData> snapshot = ReadSnapshot(SnapshotPath());
-    if (snapshot.ok()) {
-      WFRM_RETURN_NOT_OK(RestoreSnapshotLocked(*snapshot));
-      recovery_.snapshot_loaded = true;
-      recovery_.snapshot_seq = snapshot->last_seq;
-    } else if (snapshot.status().code() != StatusCode::kNotFound) {
-      return snapshot.status();
-    }
+  // Migration: a legacy snapshot.dat is folded into the page trees,
+  // committed, then removed. Idempotent — a crash anywhere before the
+  // unlink re-runs the whole fold on the next open, and WAL records are
+  // skipped by seq either way.
+  Result<SnapshotData> legacy = ReadSnapshot(SnapshotPath());
+  if (legacy.ok()) {
+    WFRM_RETURN_NOT_OK(CommitImage(pages_.get(), *legacy));
+    std::error_code ec;
+    std::filesystem::remove(SnapshotPath(), ec);
+    recovery_.migrated_legacy = true;
+  } else if (legacy.status().code() != StatusCode::kNotFound) {
+    return legacy.status();
   }
+
+  WFRM_RETURN_NOT_OK(LoadWorldFromPagesLocked());
+  // A pre-existing pages.db that never saw a checkpoint and holds no
+  // data contributed no state — the WAL rebuilds everything. A SaveWorld
+  // capture or migrated legacy image (real state at seq 0) does count.
+  recovery_.snapshot_loaded = pages_->meta().last_seq > 0 ||
+                              pages_->has_state() ||
+                              recovery_.migrated_legacy;
+  recovery_.snapshot_seq = pages_->meta().last_seq;
 
   WFRM_ASSIGN_OR_RETURN(WalScan scan, ReadWal(WalPath()));
   uint64_t good_bytes = 0;
@@ -282,9 +329,9 @@ Status DurableResourceManager::Recover() {
       recovery_.torn_tail = true;
       break;
     }
-    if (record->seq <= recovery_.snapshot_seq && recovery_.snapshot_loaded) {
-      // Already inside the snapshot — the crash hit between
-      // snapshot-rename and WAL-truncation.
+    if (record->seq <= recovery_.snapshot_seq) {
+      // Already inside pages.db — the crash hit between the meta commit
+      // and WAL truncation.
       ++recovery_.wal_records_skipped;
     } else {
       // A non-RDL record needs the hydrated world underneath it (policy
@@ -316,49 +363,6 @@ Status DurableResourceManager::Recover() {
         static_cast<double>(recovery_.replay_micros));
   }
   UpdateHealthGaugesLocked();
-  return Status::OK();
-}
-
-Status DurableResourceManager::RecoverPagedBase() {
-  WFRM_ASSIGN_OR_RETURN(std::shared_ptr<PageStore> pages,
-                        PageStore::Open(PagesPath(), options_.pager));
-  pages_ = std::move(pages);
-
-  // Migration: a legacy snapshot.dat (home written by the snapshot
-  // backend, or a SaveWorld capture) is folded into the page trees,
-  // committed, then removed. Idempotent — a crash anywhere before the
-  // unlink re-runs the whole fold on the next open, and WAL records are
-  // skipped by seq either way.
-  Result<SnapshotData> legacy = ReadSnapshot(SnapshotPath());
-  if (legacy.ok()) {
-    WFRM_RETURN_NOT_OK(pages_->RewritePolicyImage(legacy->policy_image));
-    WFRM_RETURN_NOT_OK(pages_->RewriteRdl(legacy->rdl_text));
-    WFRM_RETURN_NOT_OK(pages_->RewriteLeases(legacy->leases));
-    PageStoreMeta meta;
-    meta.last_seq = legacy->last_seq;
-    meta.next_lease_id = legacy->next_lease_id;
-    meta.next_pid = legacy->policy_image.next_pid;
-    meta.next_group = legacy->policy_image.next_group;
-    meta.epoch = legacy->policy_image.epoch;
-    WFRM_RETURN_NOT_OK(pages_->Commit(meta));
-    std::error_code ec;
-    std::filesystem::remove(SnapshotPath(), ec);
-    recovery_.migrated_legacy = true;
-  } else if (legacy.status().code() != StatusCode::kNotFound) {
-    return legacy.status();
-  }
-
-  WFRM_RETURN_NOT_OK(LoadWorldFromPagesLocked());
-  // A pre-existing pages.db that never saw a checkpoint and holds no
-  // data contributed no state — the WAL rebuilds everything, same as a
-  // home with no snapshot, so it does not count as a loaded base. A
-  // migrated SaveWorld capture (real state at seq 0) does.
-  recovery_.snapshot_loaded = pages_->meta().last_seq > 0 ||
-                              pages_->has_state() ||
-                              recovery_.migrated_legacy;
-  recovery_.snapshot_seq = pages_->meta().last_seq;
-  recovery_.lazy_policy_base = true;
-  recovery_.lazy_org_base = true;
   return Status::OK();
 }
 
@@ -413,20 +417,6 @@ Status DurableResourceManager::EnsureOrgHydratedLocked() const {
   return Status::OK();
 }
 
-Status DurableResourceManager::RestoreSnapshotLocked(const SnapshotData& data) {
-  // The snapshot's RDL dump always re-executes cleanly against a
-  // fresh org; failure means the snapshot lies about its own state.
-  WFRM_RETURN_NOT_OK(org::ExecuteRdl(data.rdl_text, org_.get()));
-  WFRM_RETURN_NOT_OK(store_->ImportImage(data.policy_image));
-  const int64_t now = rm_->clock().NowMicros();
-  for (const core::Lease& lease : data.leases) {
-    WFRM_RETURN_NOT_OK(rm_->RestoreLease(FromDurableLease(lease, now)));
-  }
-  rm_->AdvanceLeaseId(data.next_lease_id);
-  seq_ = data.last_seq;
-  return Status::OK();
-}
-
 void DurableResourceManager::ApplyRecord(const Record& record) {
   // Replay reruns history faithfully: an operation that failed (or
   // partially applied — RDL scripts abort at the first bad statement)
@@ -439,8 +429,8 @@ void DurableResourceManager::ApplyRecord(const Record& record) {
       if (org_hydrated_.load(std::memory_order_relaxed)) {
         (void)org::ExecuteRdl(record.text, org_.get());
       } else {
-        // Unhydrated paged base: buffer the tail record; hydration
-        // replays it in journal order on top of the checkpointed base.
+        // Unhydrated base: buffer the tail record; hydration replays it
+        // in journal order on top of the checkpointed base.
         pending_org_rdl_.emplace_back(record.text);
       }
       org_dirty_ = true;
@@ -506,7 +496,7 @@ Status DurableResourceManager::JournalLocked(Record record) {
 Status DurableResourceManager::MaybeCheckpointLocked() {
   // Runs only after the journaled mutation has been applied — a
   // checkpoint taken between journal and apply would stamp the record's
-  // seq on a snapshot that lacks its effect, then truncate the record.
+  // seq on pages that lack its effect, then truncate the record.
   if (options_.snapshot_every_records == 0 ||
       records_since_checkpoint_ < options_.snapshot_every_records) {
     return Status::OK();
@@ -804,19 +794,7 @@ size_t DurableResourceManager::ReapExpired() {
 
 // ---- Checkpointing ----------------------------------------------------------
 
-SnapshotData DurableResourceManager::CaptureLocked() const {
-  SnapshotData data;
-  data.last_seq = seq_;
-  data.policy_image = store_->ExportImage();
-  const int64_t now = rm_->clock().NowMicros();
-  for (const core::Lease& lease : rm_->ListLeases()) {
-    data.leases.push_back(ToDurableLease(lease, now));
-  }
-  data.next_lease_id = rm_->next_lease_id();
-  return data;
-}
-
-Status DurableResourceManager::CheckpointPagedLocked() {
+Status DurableResourceManager::CheckpointLocked() {
   // A buffered (unhydrated) org cannot be dumped, so anything org-dirty
   // hydrates first. A checkpoint with no org changes leaves the lazy
   // base untouched on disk — and stays O(dirty pages).
@@ -872,44 +850,17 @@ Status DurableResourceManager::CheckpointPagedLocked() {
   meta.next_pid = store_->next_pid();
   meta.next_group = store_->next_group();
   meta.epoch = store_->local_epoch();
-  if (options_.crash_point == CheckpointCrashPoint::kAfterTmpWrite) {
+  if (options_.crash_point == CheckpointCrashPoint::kBeforeMetaCommit) {
     // Simulated crash inside the page flush: data pages durable, meta
-    // slot not — the paged analogue of "tmp written, not renamed".
+    // slot not.
     return pages_->Commit(meta, CommitCrashPoint::kBeforeMeta);
   }
   WFRM_RETURN_NOT_OK(pages_->Commit(meta));
   org_dirty_ = false;
   dirty_lease_ids_.clear();
   if (metrics_.snapshots != nullptr) metrics_.snapshots->Increment();
-  if (options_.crash_point == CheckpointCrashPoint::kAfterRename) {
+  if (options_.crash_point == CheckpointCrashPoint::kBeforeWalTruncate) {
     return Status::OK();  // Simulated crash: meta live, WAL untruncated.
-  }
-  WFRM_RETURN_NOT_OK(wal_.Truncate());
-  if (metrics_.wal_truncations != nullptr) {
-    metrics_.wal_truncations->Increment();
-  }
-  ReportSyncsLocked();
-  records_since_checkpoint_ = 0;
-  UpdateHealthGaugesLocked();
-  return Status::OK();
-}
-
-Status DurableResourceManager::CheckpointLocked() {
-  if (options_.backend == StorageBackend::kPaged) {
-    return CheckpointPagedLocked();
-  }
-  SnapshotData data = CaptureLocked();
-  WFRM_ASSIGN_OR_RETURN(data.rdl_text, org::DumpRdl(*org_));
-
-  const std::string tmp = SnapshotPath() + ".tmp";
-  WFRM_RETURN_NOT_OK(WriteSnapshotFile(tmp, data));
-  if (options_.crash_point == CheckpointCrashPoint::kAfterTmpWrite) {
-    return Status::OK();  // Simulated crash: tmp written, not committed.
-  }
-  WFRM_RETURN_NOT_OK(CommitSnapshot(tmp, SnapshotPath()));
-  if (metrics_.snapshots != nullptr) metrics_.snapshots->Increment();
-  if (options_.crash_point == CheckpointCrashPoint::kAfterRename) {
-    return Status::OK();  // Simulated crash: snapshot live, WAL untruncated.
   }
   WFRM_RETURN_NOT_OK(wal_.Truncate());
   if (metrics_.wal_truncations != nullptr) {
@@ -1005,106 +956,54 @@ bool DurableResourceManager::standby() const {
 
 // ---- Replication hooks ------------------------------------------------------
 
-Result<SnapshotData> DurableResourceManager::CaptureSnapshot() const {
-  std::lock_guard<std::mutex> lock(mutate_mu_);
-  // The capture walks the live lease table and dumps the org; a lazy
-  // paged base must be resident first.
-  WFRM_RETURN_NOT_OK(EnsureOrgHydratedLocked());
-  SnapshotData data = CaptureLocked();
-  WFRM_ASSIGN_OR_RETURN(data.rdl_text, org::DumpRdl(*org_));
-  return data;
-}
-
-Status DurableResourceManager::InstallSnapshot(const SnapshotData& data) {
-  // The install replaces org_/store_/rm_; the world lock keeps Acquire's
-  // unlocked enforcement off them for the swap.
-  std::unique_lock<std::shared_mutex> world(world_mu_);
-  std::lock_guard<std::mutex> lock(mutate_mu_);
-  // Persist before apply: the durable image committed and WAL emptied
-  // first, so a crash anywhere mid-install recovers to exactly `data`.
-  if (options_.backend == StorageBackend::kPaged) {
-    WFRM_RETURN_NOT_OK(pages_->RewritePolicyImage(data.policy_image));
-    WFRM_RETURN_NOT_OK(pages_->RewriteRdl(data.rdl_text));
-    WFRM_RETURN_NOT_OK(pages_->RewriteLeases(data.leases));
-    PageStoreMeta meta;
-    meta.last_seq = data.last_seq;
-    meta.next_lease_id = data.next_lease_id;
-    meta.next_pid = data.policy_image.next_pid;
-    meta.next_group = data.policy_image.next_group;
-    meta.epoch = data.policy_image.epoch;
-    WFRM_RETURN_NOT_OK(pages_->Commit(meta));
-  } else {
-    WFRM_RETURN_NOT_OK(WriteSnapshot(SnapshotPath(), data));
-  }
-  WFRM_RETURN_NOT_OK(wal_.Truncate());
-  if (metrics_.snapshots != nullptr) metrics_.snapshots->Increment();
-  if (metrics_.wal_truncations != nullptr) {
-    metrics_.wal_truncations->Increment();
-  }
-  ResetWorldLocked();
-  WFRM_RETURN_NOT_OK(RestoreSnapshotLocked(data));
-  if (options_.backend == StorageBackend::kPaged) {
-    // The trees were just rewritten to mirror memory exactly: start
-    // delta tracking from a clean slate (ImportImage latched overflow).
-    store_->set_delta_tracking(false);
-    store_->set_delta_tracking(true);
-    org_dirty_ = false;
-    dirty_lease_ids_.clear();
-  }
-  records_since_checkpoint_ = 0;
-  UpdateHealthGaugesLocked();
-  return Status::OK();
-}
-
 Result<DurableResourceManager::CatchupImage>
 DurableResourceManager::CaptureCatchupImage() {
   std::lock_guard<std::mutex> lock(mutate_mu_);
+  // Checkpoint so pages.db embodies everything through seq_, then ship
+  // the raw file: the follower installs pages instead of re-importing a
+  // decoded image.
+  WFRM_RETURN_NOT_OK(CheckpointLocked());
   CatchupImage image;
-  if (options_.backend == StorageBackend::kPaged) {
-    // Checkpoint so pages.db embodies everything through seq_, then
-    // ship the raw file: the follower installs pages instead of
-    // re-importing a decoded image.
-    WFRM_RETURN_NOT_OK(CheckpointPagedLocked());
-    WFRM_ASSIGN_OR_RETURN(image.bytes, ReadFileBytes(PagesPath()));
-    image.last_seq = seq_;
-    return image;
-  }
-  SnapshotData data = CaptureLocked();
-  WFRM_ASSIGN_OR_RETURN(data.rdl_text, org::DumpRdl(*org_));
-  image.bytes = EncodeSnapshot(data);
-  image.last_seq = data.last_seq;
+  WFRM_ASSIGN_OR_RETURN(image.bytes, ReadFileBytes(PagesPath()));
+  image.last_seq = seq_;
   return image;
 }
 
 Status DurableResourceManager::InstallPagedImage(std::string_view bytes) {
-  // Replaces the in-memory world, like InstallSnapshot.
+  // The install replaces org_/store_/rm_; the world lock keeps Acquire's
+  // unlocked enforcement off them for the swap.
   std::unique_lock<std::shared_mutex> world(world_mu_);
   std::lock_guard<std::mutex> lock(mutate_mu_);
-  if (options_.backend != StorageBackend::kPaged) {
-    return Status::InvalidArgument(
-        "store " + dir_ +
-        " uses the snapshot backend; cannot install a pages.db image");
-  }
   if (!LooksLikePagesFile(bytes)) {
     return Status::ExecutionError("shipped catch-up image is not a pages.db");
   }
-  // Close our engine before replacing its file, then commit the new
-  // bytes with the usual tmp + rename + dir-fsync dance.
-  pages_.reset();
-  WFRM_RETURN_NOT_OK(WriteFileDurable(PagesPath(), bytes));
-  WFRM_RETURN_NOT_OK(wal_.Truncate());
-  if (metrics_.snapshots != nullptr) metrics_.snapshots->Increment();
-  if (metrics_.wal_truncations != nullptr) {
-    metrics_.wal_truncations->Increment();
-  }
+  // Commit the shipped file while the old engine still holds the old one
+  // open. A commit that failed before its rename changed nothing: keep
+  // the engine and the world. One that failed after it (the directory
+  // fsync) left pages.db naming the shipped file, so the world must
+  // follow it — an engine on the replaced file would checkpoint into a
+  // file no reopen reads.
+  const ino_t replaced = FileId(PagesPath());
+  Status committed = WriteFileDurable(PagesPath(), bytes);
+  if (!committed.ok() && FileId(PagesPath()) == replaced) return committed;
   WFRM_ASSIGN_OR_RETURN(std::shared_ptr<PageStore> pages,
                         PageStore::Open(PagesPath(), options_.pager));
   pages_ = std::move(pages);
   ResetWorldLocked();
   WFRM_RETURN_NOT_OK(LoadWorldFromPagesLocked());
-  records_since_checkpoint_ = 0;
+  if (committed.ok()) {
+    // Truncate only once the new file is durable: until then a crash may
+    // bring back the old pages.db, which needs the WAL behind it. Replay
+    // skips the kept records by seq when the shipped file survives.
+    WFRM_RETURN_NOT_OK(wal_.Truncate());
+    if (metrics_.snapshots != nullptr) metrics_.snapshots->Increment();
+    if (metrics_.wal_truncations != nullptr) {
+      metrics_.wal_truncations->Increment();
+    }
+    records_since_checkpoint_ = 0;
+  }
   UpdateHealthGaugesLocked();
-  return Status::OK();
+  return committed;
 }
 
 Status DurableResourceManager::ApplyReplicated(const Record& record) {

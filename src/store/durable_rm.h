@@ -19,23 +19,9 @@
 #include "store/home_lock.h"
 #include "store/page_store.h"
 #include "store/record.h"
-#include "store/snapshot.h"
 #include "store/wal.h"
 
 namespace wfrm::store {
-
-/// Which persistence engine backs the durable home.
-enum class StorageBackend {
-  /// Paged copy-on-write B+tree file (pages.db): incremental
-  /// checkpoints, O(dirty pages) recovery, bloom-gated lazy policy
-  /// hydration. The default. A home written by the snapshot backend is
-  /// migrated in place on first open (the legacy snapshot.dat is folded
-  /// into pages.db and removed).
-  kPaged,
-  /// Legacy monolithic snapshot.dat blobs: every checkpoint rewrites
-  /// the full state. Kept for format-compatibility tests.
-  kSnapshot,
-};
 
 /// Crash-injection seam for Checkpoint(): stop after the named stage and
 /// return, leaving the directory exactly as a crash at that instant
@@ -43,18 +29,17 @@ enum class StorageBackend {
 /// uses kNone.
 enum class CheckpointCrashPoint {
   kNone,
-  /// Snapshot bytes written and fsynced to `.tmp`, rename not issued:
-  /// recovery must ignore the tmp file and replay the full WAL.
-  kAfterTmpWrite,
-  /// Snapshot renamed into place, WAL not yet truncated: recovery must
-  /// load the snapshot and skip the (already-included) WAL records by
-  /// sequence number instead of applying them twice.
-  kAfterRename,
+  /// Dirty pages flushed to pages.db, meta slot not written: recovery
+  /// must come up at the previous generation and replay the full WAL.
+  kBeforeMetaCommit,
+  /// Meta slot committed, WAL not yet truncated: recovery must skip the
+  /// WAL records the committed pages already contain by sequence number
+  /// instead of applying them twice.
+  kBeforeWalTruncate,
 };
 
 struct DurableOptions {
-  StorageBackend backend = StorageBackend::kPaged;
-  /// Page size / buffer pool of the paged backend.
+  /// Page size / buffer pool of pages.db.
   PagerOptions pager;
   FsyncMode fsync_mode = FsyncMode::kInterval;
   /// kInterval: fsync the WAL every this many appends.
@@ -72,37 +57,32 @@ struct DurableOptions {
   /// Passed through to the recovered ResourceManager (clock, lease
   /// duration, allocation strategy, metrics, ...). When `metrics` is
   /// set the policy store is attached to the same registry and the
-  /// WAL/snapshot/replay instruments are registered there too.
+  /// WAL/checkpoint/replay instruments are registered there too.
   core::ResourceManagerOptions rm_options;
 };
 
 /// What Open() did to get back to the pre-crash state.
 struct RecoveryInfo {
+  /// pages.db held a checkpointed base (or a migrated legacy image).
   bool snapshot_loaded = false;
   uint64_t snapshot_seq = 0;
   size_t wal_records_replayed = 0;
-  /// Records already covered by the snapshot (seq <= snapshot_seq) — a
-  /// crash between snapshot-rename and WAL-truncation leaves these.
+  /// Records already covered by pages.db (seq <= snapshot_seq) — a
+  /// crash between the meta commit and WAL truncation leaves these.
   size_t wal_records_skipped = 0;
   bool torn_tail = false;
   int64_t replay_micros = 0;
-  /// Paged backend: a legacy snapshot.dat was folded into pages.db.
+  /// A legacy snapshot.dat was folded into pages.db.
   bool migrated_legacy = false;
-  /// Orphaned `*.tmp` files (crashed mid-checkpoint) removed at open.
+  /// Orphaned `*.tmp` files (crashed mid-commit) removed at open.
   size_t tmp_files_reaped = 0;
-  /// Paged backend: the policy base was NOT loaded eagerly — it
-  /// hydrates on the first probe the bloom filter cannot rule out.
-  bool lazy_policy_base = false;
-  /// Paged backend: the org model and lease table were NOT loaded
-  /// eagerly either — they hydrate together on first use, so Open()
-  /// cost tracks the WAL tail, not the dataset.
-  bool lazy_org_base = false;
 };
 
 /// The durable shell around the in-memory resource manager stack: an
 /// OrgModel + PolicyStore + ResourceManager whose every mutation is
-/// journaled to an append-only WAL, checkpointed into snapshots, and
-/// reconstructed by Open() after a crash (DESIGN.md §10).
+/// journaled to an append-only WAL, checkpointed into the paged B+tree
+/// file pages.db, and reconstructed by Open() after a crash (DESIGN.md
+/// §10, §15).
 ///
 /// Journaling is redo-only. Text and remove operations journal BEFORE
 /// apply: replay feeds the identical statement to the identical
@@ -137,15 +117,18 @@ struct RecoveryInfo {
 /// answer (RDL, policy add/remove, replicated records, world installs)
 /// bumps the generation after it applies; when it moved between the two
 /// phases the request is enforced again under the lock, so a grant
-/// always answers the base in force at its journal position. The two
-/// install paths replace the in-memory world and hold `world_mu_`
+/// always answers the base in force at its journal position. The
+/// catch-up install replaces the in-memory world and holds `world_mu_`
 /// exclusively; the unlocked enforcement holds it shared. Lock order:
 /// `world_mu_`, then `mutate_mu_` (DESIGN.md §8, §10).
 class DurableResourceManager {
  public:
   /// Opens (or creates) the durable home `dir`, reconstructing state
-  /// from `dir`/snapshot.dat plus the `dir`/wal.log tail. A torn final
-  /// WAL record is cut off; a corrupt snapshot is an error.
+  /// from the `dir`/pages.db checkpoint plus the `dir`/wal.log tail. The
+  /// org model, leases and policy base stay on disk until first use, so
+  /// Open() costs O(WAL tail), not O(dataset). A torn final WAL record
+  /// is cut off. A legacy `dir`/snapshot.dat is folded into pages.db
+  /// and removed; a corrupt one is an error.
   ///
   /// A durable home is stamped with a `store.meta` marker (magic +
   /// format version). A directory holding store files but no marker is
@@ -156,8 +139,9 @@ class DurableResourceManager {
       const std::string& dir, DurableOptions options = {});
 
   /// Captures a fresh durable home at `dir` from an existing in-memory
-  /// world — the shell's `save` for a session that started volatile.
-  /// Open(dir) afterwards reconstructs this exact state.
+  /// world — the shell's `save` for a session that started volatile. It
+  /// writes pages.db directly, so Open(dir) afterwards reconstructs this
+  /// exact state with nothing to migrate.
   static Status SaveWorld(const std::string& dir, const org::OrgModel& org,
                           const policy::PolicyStore& store,
                           const core::ResourceManager& rm);
@@ -188,11 +172,11 @@ class DurableResourceManager {
 
   // ---- Checkpointing ----------------------------------------------------
 
-  /// Snapshots the current state (atomic tmp+rename) and truncates the
-  /// WAL. Startup cost becomes one snapshot load plus whatever tail
-  /// accumulates afterwards. Allowed while WAL-degraded: the truncation
-  /// clears the writer's broken latch, so a successful checkpoint is
-  /// also the repair path out of that state.
+  /// Commits everything since the last checkpoint into pages.db (policy
+  /// deltas, the RDL text if the org changed, dirty leases, one meta
+  /// flip) and truncates the WAL. Allowed while WAL-degraded: the
+  /// truncation clears the writer's broken latch, so a successful
+  /// checkpoint is also the repair path out of that state.
   Status Checkpoint();
 
   // ---- Health / degraded mode -------------------------------------------
@@ -216,7 +200,7 @@ class DurableResourceManager {
   void ExitDegraded();
 
   /// Standby replicas accept state only through ApplyReplicated /
-  /// InstallSnapshot; direct mutations fail with kDegraded so a
+  /// InstallPagedImage; direct mutations fail with kDegraded so a
   /// follower can never fork from its primary. Promotion flips this
   /// off.
   void EnterStandby();
@@ -225,16 +209,10 @@ class DurableResourceManager {
 
   // ---- Replication hooks -------------------------------------------------
 
-  /// A consistent snapshot of the current state (what Checkpoint would
-  /// persist), for shipping to a far-behind follower.
-  Result<SnapshotData> CaptureSnapshot() const;
-
-  /// Catch-up image in this store's native transfer format: the paged
-  /// backend checkpoints and ships the raw pages.db bytes (the follower
-  /// installs them with InstallPagedImage); the snapshot backend ships
-  /// EncodeSnapshot bytes. The applier sniffs which it got. `last_seq`
-  /// is captured atomically with the bytes — the shipper resumes WAL
-  /// streaming right after it.
+  /// Catch-up image for a far-behind follower: checkpoints, then returns
+  /// the raw pages.db bytes (the follower installs them with
+  /// InstallPagedImage). `last_seq` is captured atomically with the
+  /// bytes — the shipper resumes WAL streaming right after it.
   struct CatchupImage {
     std::string bytes;
     uint64_t last_seq = 0;
@@ -242,15 +220,16 @@ class DurableResourceManager {
   Result<CatchupImage> CaptureCatchupImage();
 
   /// Follower catch-up from a shipped pages.db image: the bytes are
-  /// committed to disk first (tmp + rename) and the WAL truncated, so a
-  /// crash mid-install recovers to exactly the shipped state; then the
-  /// in-memory world is rebuilt from the new file.
+  /// committed over pages.db (tmp + rename + directory fsync) while the
+  /// old engine still holds the old file, then the in-memory world is
+  /// rebuilt from the new file and the WAL truncated, so a crash
+  /// mid-install recovers to either the old or the shipped state. A
+  /// failed tmp write or rename leaves pages.db, the engine and the
+  /// world as they were. A failed directory fsync comes after the
+  /// rename: the world follows the shipped file, the WAL is kept (replay
+  /// skips its records by seq) and the error is returned, so the
+  /// caller retries the install.
   Status InstallPagedImage(std::string_view bytes);
-
-  /// Follower catch-up: atomically replaces the entire durable home and
-  /// in-memory world with `data` (snapshot file written and WAL
-  /// truncated first, so a crash mid-install recovers to the snapshot).
-  Status InstallSnapshot(const SnapshotData& data);
 
   /// Applies one record shipped from the primary: journals it locally
   /// under the primary's own sequence number (the follower's log stays
@@ -269,8 +248,8 @@ class DurableResourceManager {
 
   // ---- Access -----------------------------------------------------------
 
-  // On the paged backend the org model and lease table hydrate lazily;
-  // handing out a reference is a use, so each accessor hydrates first
+  // The org model and lease table hydrate lazily; handing out a
+  // reference is a use, so each accessor hydrates first
   // (best effort — the signatures cannot report a hydration I/O
   // failure; Status-returning paths call EnsureOrgHydrated themselves).
   org::OrgModel& org() {
@@ -290,8 +269,7 @@ class DurableResourceManager {
     return *rm_;
   }
 
-  /// False while the paged org/lease base is still on disk only (the
-  /// snapshot backend and a hydrated paged store report true).
+  /// False while the org/lease base is still on disk only.
   bool org_hydrated() const {
     return org_hydrated_.load(std::memory_order_acquire);
   }
@@ -305,12 +283,8 @@ class DurableResourceManager {
 
   const RecoveryInfo& recovery_info() const { return recovery_; }
   const std::string& dir() const { return dir_; }
-  StorageBackend backend() const { return options_.backend; }
-  /// Paged-backend engine stats (pager I/O, bloom size); null stats on
-  /// the snapshot backend.
-  PageStoreStats page_stats() const {
-    return pages_ != nullptr ? pages_->stats() : PageStoreStats{};
-  }
+  /// pages.db engine stats (pager I/O, bloom size).
+  PageStoreStats page_stats() const { return pages_->stats(); }
   uint64_t last_seq() const {
     std::lock_guard<std::mutex> lock(mutate_mu_);
     return seq_;
@@ -345,11 +319,8 @@ class DurableResourceManager {
   Status ValidateHome();
   /// (Re)creates the empty in-memory world (org + store + rm), rewiring
   /// metrics, and bumps the answer generation. Used at construction and
-  /// by the two install paths, which hold world_mu_ exclusively.
+  /// by InstallPagedImage, which holds world_mu_ exclusively.
   void ResetWorldLocked();
-  /// Restores `data` into the in-memory world (shared by Recover and
-  /// InstallSnapshot).
-  Status RestoreSnapshotLocked(const SnapshotData& data);
   /// kDegraded unless this store currently accepts direct mutations.
   Status WritableLocked() const;
   /// Pushes the wal-broken / degraded gauges. Caller holds mutate_mu_.
@@ -363,23 +334,21 @@ class DurableResourceManager {
                                              const RequestContext* ctx,
                                              uint64_t* generation);
 
+  /// Opens pages.db (folding a legacy snapshot.dat into it first),
+  /// attaches its base lazily and replays the WAL tail.
   Status Recover();
-  /// Paged-backend half of Recover(): opens pages.db (migrating a
-  /// legacy snapshot.dat into it first), rebuilds org/leases eagerly
-  /// and attaches the policy base lazily behind the bloom filter.
-  Status RecoverPagedBase();
   /// Rebuilds the in-memory world from the already-open pages_ file;
-  /// shared by RecoverPagedBase and InstallPagedImage.
+  /// shared by Recover and InstallPagedImage.
   Status LoadWorldFromPagesLocked();
   /// Lazy org/lease hydration: loads the checkpointed RDL text and the
   /// lease table from pages_, then replays any buffered WAL-tail RDL
-  /// records in journal order. No-op once hydrated (or on the snapshot
-  /// backend, which restores eagerly); a hydrated home returns without
-  /// taking mutate_mu_. const because reads trigger it; only the
+  /// records in journal order. No-op once hydrated; a hydrated home
+  /// returns without taking mutate_mu_. const because reads trigger it;
+  /// only the
   /// `mutable` hydration state changes.
   Status EnsureOrgHydrated() const;
   Status EnsureOrgHydratedLocked() const;
-  /// Removes orphaned `*.tmp` files left by a checkpoint that crashed
+  /// Removes orphaned `*.tmp` files left by a file commit that crashed
   /// before its rename. Safe because the home lock is already held — no
   /// live writer can own them.
   void ReapOrphanTmpFiles();
@@ -397,17 +366,17 @@ class DurableResourceManager {
     generation_.fetch_add(1, std::memory_order_release);
   }
   /// Auto-checkpoint trigger; called after a journaled mutation has
-  /// been applied (never between journal and apply — the snapshot would
-  /// claim a seq whose effect it lacks, and truncation would lose it).
+  /// been applied (never between journal and apply — the checkpoint
+  /// would claim a seq whose effect it lacks, and truncation would lose
+  /// it).
   Status MaybeCheckpointLocked();
-  Status CheckpointLocked();
-  /// Incremental paged checkpoint: policy deltas (or a full image
-  /// rewrite when the delta buffer overflowed), the RDL text if the org
+  /// Incremental checkpoint: policy deltas (or a full image rewrite
+  /// when the delta buffer overflowed), the RDL text if the org
   /// changed, re-resolved dirty leases, then one pager commit.
-  Status CheckpointPagedLocked();
-  SnapshotData CaptureLocked() const;
+  Status CheckpointLocked();
 
   std::string WalPath() const { return dir_ + "/wal.log"; }
+  /// Legacy import only: Open() folds it into pages.db and removes it.
   std::string SnapshotPath() const { return dir_ + "/snapshot.dat"; }
   std::string PagesPath() const { return dir_ + "/pages.db"; }
   std::string MetaPath() const { return dir_ + "/store.meta"; }
@@ -419,17 +388,17 @@ class DurableResourceManager {
   std::unique_ptr<policy::PolicyStore> store_;
   std::unique_ptr<core::ResourceManager> rm_;
 
-  /// Paged backend engine; null on the snapshot backend. shared_ptr
+  /// The pages.db engine; never null once Open() returns. shared_ptr
   /// because the PolicyStore holds it as its lazy PolicyImageSource.
   std::shared_ptr<PageStore> pages_;
-  /// Lease ids mutated since the last paged checkpoint; each is
+  /// Lease ids mutated since the last checkpoint; each is
   /// re-resolved against the live table at checkpoint time (present →
   /// upsert with fresh remaining lifetime, gone → delete).
   std::unordered_set<uint64_t> dirty_lease_ids_;
-  /// The org model changed since the last paged checkpoint (RDL ran);
+  /// The org model changed since the last checkpoint (RDL ran);
   /// forces an RDL text rewrite in the sys tree.
   bool org_dirty_ = false;
-  /// False while the paged org/lease base is still disk-only. Written
+  /// False while the org/lease base is still disk-only. Written
   /// under mutate_mu_ (set last, with release order, once hydration
   /// completes); read lock-free by the EnsureOrgHydrated fast path.
   mutable std::atomic<bool> org_hydrated_{true};
@@ -439,8 +408,8 @@ class DurableResourceManager {
   mutable std::vector<std::string> pending_org_rdl_;
 
   /// Held shared by Acquire's unlocked enforcement and exclusively by
-  /// InstallSnapshot / InstallPagedImage, which replace org_, store_ and
-  /// rm_. Never waited for while mutate_mu_ is held.
+  /// InstallPagedImage, which replaces org_, store_ and rm_. Never
+  /// waited for while mutate_mu_ is held.
   std::shared_mutex world_mu_;
   mutable std::mutex mutate_mu_;
   /// The answer generation: bumped (under mutate_mu_, after apply) by

@@ -21,9 +21,9 @@ struct PagerOptions {
   size_t pool_pages = 256;
 };
 
-/// True when `bytes` begin with the pages-file magic. The replication
-/// applier uses this to sniff whether a catch-up image is a shipped
-/// pages.db or a legacy EncodeSnapshot blob.
+/// True when `bytes` begin with the pages-file magic. Open() uses it to
+/// adopt a marker-less home and InstallPagedImage to reject a shipped
+/// catch-up image that is not a pages.db.
 bool LooksLikePagesFile(std::string_view bytes);
 
 struct PagerStats {

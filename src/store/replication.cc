@@ -184,10 +184,10 @@ Status WalShipper::PumpLocked() {
   if (!basis_probed_) {
     // First contact: a follower reporting a blank history cannot be
     // assumed to share this primary's seq-0 basis. A home written by
-    // SaveWorld (or seeded by an earlier snapshot install) holds its
-    // whole state in a snapshot at seq 0 that no WAL record reproduces;
+    // SaveWorld (or seeded by an earlier catch-up install) holds its
+    // whole state in pages.db at seq 0 that no WAL record reproduces;
     // shipping records onto a blank follower would silently fork the
-    // pair. Probe the follower's position and seed it via snapshot when
+    // pair. Probe the follower's position and seed it via catch-up when
     // it has no history of its own.
     ReplicationFrame probe;
     probe.type = FrameType::kHeartbeat;
@@ -327,10 +327,8 @@ Status WalShipper::RefreshLocked() {
 }
 
 Status WalShipper::StartCatchupLocked() {
-  // The image is in the primary's native transfer format: raw pages.db
-  // bytes from a paged store (the follower installs the file directly),
-  // or an EncodeSnapshot blob from a legacy store. Either way the
-  // chunked transfer below is just shipping bytes.
+  // The image is the primary's raw pages.db (the follower installs the
+  // file directly); the chunked transfer below just ships bytes.
   WFRM_ASSIGN_OR_RETURN(DurableResourceManager::CatchupImage image,
                         primary_->CaptureCatchupImage());
   CatchupState state;
@@ -634,18 +632,10 @@ Result<ShipAck> ReplicaApplier::DeliverLocked(const ReplicationFrame& frame) {
         ack.last_applied = chunks_received_;
         break;
       }
-      // The primary ships its native format: raw pages.db bytes from a
-      // paged store, or an EncodeSnapshot blob from a legacy one. Sniff
-      // the magic rather than negotiate — the chunk transport is
-      // format-agnostic.
-      if (LooksLikePagesFile(snapshot_bytes_)) {
-        WFRM_RETURN_NOT_OK(standby_->InstallPagedImage(snapshot_bytes_));
-      } else {
-        WFRM_ASSIGN_OR_RETURN(
-            SnapshotData data,
-            DecodeSnapshot(snapshot_bytes_, "replication stream"));
-        WFRM_RETURN_NOT_OK(standby_->InstallSnapshot(data));
-      }
+      // The image is the primary's raw pages.db. A failed install keeps
+      // the received bytes: the shipper resends this end frame and the
+      // install is retried.
+      WFRM_RETURN_NOT_OK(standby_->InstallPagedImage(snapshot_bytes_));
       snapshot_active_ = false;
       snapshot_bytes_.clear();
       ack.last_applied = standby_->last_seq();

@@ -244,8 +244,8 @@ class WalShipper {
   std::optional<CatchupState> catchup_;
   /// First-contact probe done: a blank follower (last applied seq 0)
   /// does not necessarily share this primary's seq-0 basis (SaveWorld
-  /// homes carry their whole state in a snapshot at seq 0), so until
-  /// the follower reports history of its own or completes a snapshot
+  /// homes carry their whole state in pages.db at seq 0), so until the
+  /// follower reports history of its own or completes a catch-up
   /// install, records must not ship.
   bool basis_probed_ = false;
   uint64_t last_mark_seq_ = 0;

@@ -126,27 +126,18 @@ Status WriteFileRaw(const std::string& path, std::string_view bytes) {
   return Status::OK();
 }
 
-}  // namespace
-
-Status WriteSnapshotFile(const std::string& path, const SnapshotData& data) {
-  return WriteFileRaw(path, EncodeSnapshot(data));
-}
-
-Status WriteFileDurable(const std::string& path, std::string_view bytes) {
-  WFRM_RETURN_NOT_OK(WriteFileRaw(path + ".tmp", bytes));
-  return CommitSnapshot(path + ".tmp", path);
-}
-
-namespace {
-
 std::function<bool(std::string_view)>& CommitFaultHook() {
   static std::function<bool(std::string_view)> hook;
   return hook;
 }
 
+/// True when the test hook fails `op`; errno then reads as the EIO the
+/// hook stands in for.
 bool InjectCommitFault(std::string_view op) {
   const auto& hook = CommitFaultHook();
-  return hook && hook(op);
+  if (!hook || !hook(op)) return false;
+  errno = EIO;
+  return true;
 }
 
 }  // namespace
@@ -155,46 +146,43 @@ void SetCommitSnapshotFaultHook(std::function<bool(std::string_view)> hook) {
   CommitFaultHook() = std::move(hook);
 }
 
-Status CommitSnapshot(const std::string& tmp_path,
-                      const std::string& final_path) {
-  if (InjectCommitFault("rename") ||
-      std::rename(tmp_path.c_str(), final_path.c_str()) != 0) {
-    Status st = Status::ExecutionError("cannot commit snapshot " +
-                                       final_path + ": " +
-                                       std::strerror(errno));
+Status WriteFileDurable(const std::string& path, std::string_view bytes) {
+  const std::string tmp = path + ".tmp";
+  Status written = WriteFileRaw(tmp, bytes);
+  if (written.ok() &&
+      (InjectCommitFault("rename") ||
+       std::rename(tmp.c_str(), path.c_str()) != 0)) {
+    written = Status::ExecutionError("cannot commit " + path + ": " +
+                                     std::strerror(errno));
+  }
+  if (!written.ok()) {
     // The tmp file is ours and was never committed — remove it so a
-    // failed checkpoint does not strand half-written files in the home
+    // failed write does not strand half-written files in the home
     // (best effort: open-time reaping catches anything left behind).
-    std::remove(tmp_path.c_str());
-    return st;
+    std::remove(tmp.c_str());
+    return written;
   }
   // Make the rename itself durable (directory entry update). A failure
-  // here must propagate: the caller truncates the WAL on success, and
-  // truncating while the rename might not survive a crash loses history.
-  std::string dir = final_path;
-  size_t slash = dir.find_last_of('/');
-  dir = slash == std::string::npos ? "." : dir.substr(0, slash);
+  // here must propagate: a caller that truncates the WAL on success
+  // would lose history if the rename did not survive a crash.
+  const size_t slash = path.find_last_of('/');
+  const std::string dir =
+      slash == std::string::npos ? "." : path.substr(0, slash);
   int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
   if (dfd < 0) {
-    return Status::ExecutionError("cannot open snapshot directory " + dir +
-                                  " to sync the commit: " +
+    return Status::ExecutionError("cannot open " + dir + " to sync the "
+                                  "commit of " + path + ": " +
                                   std::strerror(errno));
   }
   if (InjectCommitFault("dirsync") || ::fsync(dfd) != 0) {
-    // The rename already consumed the tmp file; nothing to clean up —
-    // only the error must propagate so the caller skips WAL truncation.
-    Status st = Status::ExecutionError("cannot sync snapshot directory " +
-                                       dir + ": " + std::strerror(errno));
+    Status st = Status::ExecutionError("cannot sync " + dir +
+                                       " after committing " + path + ": " +
+                                       std::strerror(errno));
     ::close(dfd);
     return st;
   }
   ::close(dfd);
   return Status::OK();
-}
-
-Status WriteSnapshot(const std::string& path, const SnapshotData& data) {
-  WFRM_RETURN_NOT_OK(WriteSnapshotFile(path + ".tmp", data));
-  return CommitSnapshot(path + ".tmp", path);
 }
 
 Result<SnapshotData> DecodeSnapshot(std::string_view bytes,

@@ -13,12 +13,14 @@
 
 namespace wfrm::store {
 
-/// Everything a checkpoint captures: the org model as RDL text (the
-/// paper's own serialization of hierarchies/resources, §7), the policy
-/// base as a raw relational image (PIDs/epoch preserved — see
-/// PolicyStore::Image), and the live leases with their id high-water
-/// mark. `last_seq` is the WAL sequence number of the last mutation the
-/// snapshot includes; replay skips records at or below it.
+/// The legacy snapshot.dat image, kept only as a read-only import:
+/// Open() folds a home's snapshot.dat into pages.db and removes it. The
+/// org model is RDL text (the paper's own serialization of
+/// hierarchies/resources, §7), the policy base a raw relational image
+/// (PIDs/epoch preserved — see PolicyStore::Image), and the live leases
+/// come with their id high-water mark. `last_seq` is the WAL sequence
+/// number of the last mutation the image includes; replay skips records
+/// at or below it.
 ///
 /// Lease deadlines here are in durable form — *remaining lifetimes*,
 /// not clock timestamps (the manager's monotonic clock epoch does not
@@ -32,9 +34,10 @@ struct SnapshotData {
   std::vector<core::Lease> leases;
 };
 
-/// Serializes `data` into the snapshot image byte format (a burst of
-/// WAL-framed sections). The same bytes land in snapshot files and in
-/// replication snapshot-chunk frames for follower catch-up.
+/// Serializes `data` into the frozen snapshot.dat byte format (a burst
+/// of WAL-framed sections). The store no longer writes this format; the
+/// encoder stays as its one definition, the inverse of DecodeSnapshot
+/// (tests build legacy homes with it).
 std::string EncodeSnapshot(const SnapshotData& data);
 
 /// Inverse of EncodeSnapshot. `origin` only labels error messages.
@@ -44,42 +47,27 @@ std::string EncodeSnapshot(const SnapshotData& data);
 Result<SnapshotData> DecodeSnapshot(std::string_view bytes,
                                     const std::string& origin);
 
-/// Writes `data` to exactly `path` and fsyncs it. The file reuses the
-/// WAL record framing, so the same torn-tail detection applies. Callers
-/// normally write to a `.tmp` path and CommitSnapshot() it — the
-/// checkpoint crash seam needs the two stages separable.
-Status WriteSnapshotFile(const std::string& path, const SnapshotData& data);
-
-/// Renames `tmp_path` over `final_path` (the commit point — atomic on
-/// POSIX) and fsyncs the containing directory so the rename survives a
-/// crash. When the rename itself fails, the orphaned `tmp_path` is
-/// removed before the error propagates — a failed commit must not
-/// leave half-written files for the next open to trip over.
-Status CommitSnapshot(const std::string& tmp_path,
-                      const std::string& final_path);
-
-/// Test-only fault hook consulted by CommitSnapshot before each of its
-/// two fallible steps (`op` is "rename" or "dirsync"); returning true
-/// makes the step behave as if the syscall failed with EIO. Tests wire
-/// this to a core::FaultInjector::SampleStorageFault draw to cover the
-/// error-unwind branches. Pass nullptr to clear. Not synchronized
-/// against concurrent CommitSnapshot calls — set it before the store
-/// under test starts checkpointing.
+/// Test-only fault hook consulted by WriteFileDurable before each of
+/// its two fallible commit steps (`op` is "rename" or "dirsync");
+/// returning true makes the step fail as if the syscall had failed with
+/// EIO. Tests wire this to a core::FaultInjector::SampleStorageFault
+/// draw to cover the error-unwind branches. Pass nullptr to clear. Not
+/// synchronized against concurrent WriteFileDurable calls — set it
+/// before the store under test starts committing files.
 void SetCommitSnapshotFaultHook(std::function<bool(std::string_view)> hook);
 
-/// WriteSnapshotFile to `path + ".tmp"` followed by CommitSnapshot: a
-/// crash mid-write leaves only a `.tmp` that recovery ignores.
-Status WriteSnapshot(const std::string& path, const SnapshotData& data);
-
-/// Reads a snapshot written by WriteSnapshot. NotFound when `path` does
-/// not exist; ExecutionError when the file exists but is corrupt (a
-/// renamed snapshot is complete by construction, so corruption means
-/// storage damage and recovery must not guess).
+/// Reads a legacy snapshot.dat. NotFound when `path` does not exist;
+/// ExecutionError when the file exists but is corrupt (a committed
+/// snapshot is complete by construction, so corruption means storage
+/// damage and recovery must not guess).
 Result<SnapshotData> ReadSnapshot(const std::string& path);
 
 /// Writes raw `bytes` durably to `path` via tmp + fsync + atomic rename
-/// + directory fsync — the generic small-file commit used for metadata
-/// markers (store.meta, replica.meta).
+/// + directory fsync — the file commit used for pages.db catch-up
+/// images and the metadata markers (store.meta, replica.meta). A failed
+/// tmp write or rename removes the tmp and leaves `path` as it was; a
+/// failed directory fsync comes after the rename, so `path` already
+/// names the new bytes but may not survive a crash.
 Status WriteFileDurable(const std::string& path, std::string_view bytes);
 
 /// Reads a whole file. NotFound when `path` does not exist.

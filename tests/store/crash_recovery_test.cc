@@ -2,7 +2,7 @@
 // workload runs to completion once (the "golden" run); a crash at any
 // instant is then simulated by truncating a copy of its WAL at a
 // randomized byte offset and reopening. The recovered state must equal
-// a shadow model the test builds itself from the surviving snapshot +
+// a shadow model the test builds itself from the surviving pages.db +
 // record prefix — an independent replay path, so a recovery bug and a
 // matching shadow bug would have to coincide to hide.
 
@@ -26,7 +26,6 @@
 #include "store/durable_rm.h"
 #include "store/page_store.h"
 #include "store/record.h"
-#include "store/snapshot.h"
 #include "store/wal.h"
 
 namespace wfrm::store {
@@ -105,7 +104,7 @@ core::Lease Rebased(core::Lease lease, int64_t now_micros) {
   return lease;
 }
 
-/// Shadow model: reconstructs state from dir's snapshot + WAL using the
+/// Shadow model: reconstructs state from dir's pages.db + WAL using the
 /// public codec only, mirroring the documented recovery contract
 /// (DESIGN.md §10) rather than calling into DurableResourceManager.
 struct Shadow {
@@ -129,8 +128,8 @@ Shadow BuildShadow(const std::string& dir) {
   uint64_t snapshot_seq = 0;
   bool have_snapshot = false;
   if (std::filesystem::exists(dir + "/pages.db")) {
-    // Paged home: the base image lives in the page store. Read it with
-    // PageStore directly — still independent of the recovery path in
+    // The base image lives in the page store. Read it with PageStore
+    // directly — still independent of the recovery path in
     // DurableResourceManager, which goes through lazy hydration.
     auto pages = PageStore::Open(dir + "/pages.db");
     EXPECT_TRUE(pages.ok()) << pages.status().ToString();
@@ -156,18 +155,6 @@ Shadow BuildShadow(const std::string& dir) {
       snapshot_seq = meta.last_seq;
       have_snapshot = true;
     }
-  } else if (auto snap = ReadSnapshot(dir + "/snapshot.dat"); snap.ok()) {
-    EXPECT_TRUE(org::ExecuteRdl(snap->rdl_text, s.org.get()).ok());
-    EXPECT_TRUE(s.store->ImportImage(snap->policy_image).ok());
-    for (const core::Lease& lease : snap->leases) {
-      EXPECT_TRUE(s.rm->RestoreLease(Rebased(lease, now)).ok());
-    }
-    s.rm->AdvanceLeaseId(snap->next_lease_id);
-    snapshot_seq = snap->last_seq;
-    have_snapshot = true;
-  } else {
-    EXPECT_EQ(snap.status().code(), StatusCode::kNotFound)
-        << snap.status().ToString();
   }
 
   auto scan = ReadWal(dir + "/wal.log");
@@ -284,24 +271,18 @@ class CrashRecoveryTest : public ::testing::Test {
     ASSERT_TRUE(fourth.ok());
   }
 
-  /// Simulates a kill: a directory holding the snapshot (if any) plus
-  /// the first `cut` bytes of the golden WAL.
+  /// Simulates a kill: a directory holding the golden pages.db plus the
+  /// first `cut` bytes of the golden WAL.
   std::string MakeCrashDir(const std::string& golden, size_t cut, int index) {
     std::string dir = root_ + "/crash" + std::to_string(index);
     std::filesystem::create_directories(dir);
     // The home marker survives any crash: it is written once at Open
     // and never truncated, so every simulated kill still has it.
     std::filesystem::copy_file(golden + "/store.meta", dir + "/store.meta");
-    if (std::filesystem::exists(golden + "/snapshot.dat")) {
-      std::filesystem::copy_file(golden + "/snapshot.dat",
-                                 dir + "/snapshot.dat");
-    }
-    // Paged homes keep their base in pages.db. Page-file commits are
-    // atomic by construction (copy-on-write + dual meta slots), so a
-    // kill never tears it — copying it whole models every crash.
-    if (std::filesystem::exists(golden + "/pages.db")) {
-      std::filesystem::copy_file(golden + "/pages.db", dir + "/pages.db");
-    }
+    // Page-file commits are atomic by construction (copy-on-write + dual
+    // meta slots), so a kill never tears pages.db — copying it whole
+    // models every crash.
+    std::filesystem::copy_file(golden + "/pages.db", dir + "/pages.db");
     std::ifstream in(golden + "/wal.log", std::ios::binary);
     std::string bytes((std::istreambuf_iterator<char>(in)),
                       std::istreambuf_iterator<char>());
@@ -316,7 +297,7 @@ class CrashRecoveryTest : public ::testing::Test {
 
 TEST_F(CrashRecoveryTest, SeededKillPointsRecoverToShadowModel) {
   // 100 randomized cuts per scenario = 200 kill points total, covering
-  // WAL-only recovery and snapshot+tail recovery.
+  // WAL-only recovery and checkpoint+tail recovery.
   for (bool with_checkpoint : {false, true}) {
     std::string golden =
         root_ + (with_checkpoint ? "/golden_ckpt" : "/golden");
@@ -382,8 +363,8 @@ TEST_F(CrashRecoveryTest, SeededPagedCheckpointSeamKillPoints) {
     int base;
   };
   for (const Seam& seam :
-       {Seam{CheckpointCrashPoint::kAfterTmpWrite, 0x19990107, 2000},
-        Seam{CheckpointCrashPoint::kAfterRename, 0x20260807, 3000}}) {
+       {Seam{CheckpointCrashPoint::kBeforeMetaCommit, 0x19990107, 2000},
+        Seam{CheckpointCrashPoint::kBeforeWalTruncate, 0x20260807, 3000}}) {
     std::string golden = root_ + "/golden_seam" + std::to_string(seam.base);
     ASSERT_NO_FATAL_FAILURE(
         RunWorkload(golden, /*with_checkpoint=*/true, seam.point));

@@ -1,6 +1,6 @@
 // DurableResourceManager: open/mutate/reopen equality, checkpoint
-// truncation, the two checkpoint crash windows, torn tails, SaveWorld,
-// the WAL/snapshot metrics and the acquire counters.
+// truncation, torn tails, SaveWorld, a corrupt legacy snapshot.dat, the
+// WAL/checkpoint metrics and the acquire counters.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -20,6 +20,7 @@
 #include "org/rdl_dump.h"
 #include "policy/pl_dump.h"
 #include "store/durable_rm.h"
+#include "store/snapshot.h"
 #include "testutil/paper_org.h"
 
 namespace wfrm::store {
@@ -191,61 +192,6 @@ TEST_F(DurableTest, AutomaticCheckpointEveryNRecords) {
   auto d = DurableResourceManager::Open(dir_);
   ASSERT_TRUE(d.ok()) << d.status().ToString();
   EXPECT_TRUE((*d)->recovery_info().snapshot_loaded);
-  EXPECT_EQ(Fingerprint(**d), before);
-}
-
-// The tmp/rename crash seams below are legacy-snapshot semantics; the
-// paged backend's crash windows (flush-without-commit, meta-committed-
-// WAL-untruncated) are covered in page_store_test.cc and the crash
-// matrix.
-TEST_F(DurableTest, CrashRecoveryAfterTmpWriteIgnoresTmpSnapshot) {
-  std::string before;
-  {
-    DurableOptions options;
-    options.backend = StorageBackend::kSnapshot;
-    options.crash_point = CheckpointCrashPoint::kAfterTmpWrite;
-    auto d = OpenWithWorkload(options);
-    ASSERT_NE(d, nullptr);
-    ASSERT_TRUE(d->Checkpoint().ok());  // Stops before the rename.
-    before = Fingerprint(*d);
-  }
-  EXPECT_TRUE(std::filesystem::exists(dir_ + "/snapshot.dat.tmp"));
-  EXPECT_FALSE(std::filesystem::exists(dir_ + "/snapshot.dat"));
-
-  DurableOptions reopen;
-  reopen.backend = StorageBackend::kSnapshot;
-  auto d = DurableResourceManager::Open(dir_, reopen);
-  ASSERT_TRUE(d.ok()) << d.status().ToString();
-  EXPECT_FALSE((*d)->recovery_info().snapshot_loaded);
-  EXPECT_EQ((*d)->recovery_info().wal_records_replayed, 3u);
-  EXPECT_EQ(Fingerprint(**d), before);
-}
-
-TEST_F(DurableTest, CrashRecoveryAfterRenameSkipsSnapshottedRecords) {
-  std::string before;
-  {
-    DurableOptions options;
-    options.backend = StorageBackend::kSnapshot;
-    options.crash_point = CheckpointCrashPoint::kAfterRename;
-    auto d = OpenWithWorkload(options);
-    ASSERT_NE(d, nullptr);
-    ASSERT_TRUE(d->Checkpoint().ok());  // Snapshot live, WAL untruncated.
-    before = Fingerprint(*d);
-  }
-  EXPECT_TRUE(std::filesystem::exists(dir_ + "/snapshot.dat"));
-  auto scan = ReadWal(dir_ + "/wal.log");
-  ASSERT_TRUE(scan.ok());
-  EXPECT_EQ(scan->payloads.size(), 3u);  // Still there, all pre-snapshot.
-
-  DurableOptions reopen;
-  reopen.backend = StorageBackend::kSnapshot;
-  auto d = DurableResourceManager::Open(dir_, reopen);
-  ASSERT_TRUE(d.ok()) << d.status().ToString();
-  EXPECT_TRUE((*d)->recovery_info().snapshot_loaded);
-  // No double-apply: every WAL record is recognized as already inside
-  // the snapshot.
-  EXPECT_EQ((*d)->recovery_info().wal_records_replayed, 0u);
-  EXPECT_EQ((*d)->recovery_info().wal_records_skipped, 3u);
   EXPECT_EQ(Fingerprint(**d), before);
 }
 
@@ -497,21 +443,29 @@ TEST_F(DurableTest, SaveWorldRoundTripsAVolatileSession) {
   auto d = DurableResourceManager::Open(dir_);
   ASSERT_TRUE(d.ok()) << d.status().ToString();
   EXPECT_TRUE((*d)->recovery_info().snapshot_loaded);
+  // SaveWorld writes pages.db itself: a native home, nothing to migrate.
+  EXPECT_FALSE((*d)->recovery_info().migrated_legacy);
   EXPECT_EQ(Fingerprint(**d), before);
 }
 
 TEST_F(DurableTest, CorruptSnapshotIsAnErrorNotSilentLoss) {
   {
-    DurableOptions options;
-    options.backend = StorageBackend::kSnapshot;
-    auto d = OpenWithWorkload(options);
+    // A legacy home: the workload's state as a snapshot.dat beside the
+    // home marker, waiting to be folded into pages.db.
+    auto d = OpenWithWorkload();
     ASSERT_NE(d, nullptr);
-    ASSERT_TRUE(d->Checkpoint().ok());
+    SnapshotData legacy;
+    legacy.last_seq = d->last_seq();
+    legacy.rdl_text = *org::DumpRdl(d->org());
+    legacy.policy_image = d->store().ExportImage();
+    legacy.leases = d->rm().ListLeases();
+    legacy.next_lease_id = d->rm().next_lease_id();
+    std::ofstream(dir_ + "/snapshot.dat", std::ios::binary)
+        << EncodeSnapshot(legacy);
   }
   // Storage damage inside a committed snapshot must refuse to open —
-  // guessing at policy state would enforce the wrong rules. The default
-  // (paged) reopen hits this through the migration read, which must be
-  // just as strict.
+  // guessing at policy state would enforce the wrong rules. The reopen
+  // hits this through the migration read, which must be just as strict.
   auto size = std::filesystem::file_size(dir_ + "/snapshot.dat");
   std::fstream f(dir_ + "/snapshot.dat",
                  std::ios::binary | std::ios::in | std::ios::out);

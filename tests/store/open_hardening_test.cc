@@ -10,8 +10,10 @@
 #include <fstream>
 #include <string>
 
+#include "org/rdl_dump.h"
 #include "store/durable_rm.h"
 #include "store/record.h"
+#include "store/snapshot.h"
 #include "store/wal.h"
 
 namespace wfrm::store {
@@ -54,13 +56,11 @@ class OpenHardeningTest : public ::testing::Test {
                        std::istreambuf_iterator<char>());
   }
 
-  /// A real store with a snapshot: workload + checkpoint + a WAL tail.
-  /// `backend` picks the checkpoint format — kSnapshot produces the
-  /// legacy snapshot.dat the truncation test slices up.
-  void MakeGolden(const std::string& dir,
-                  StorageBackend backend = StorageBackend::kPaged) {
+  /// A real store: workload + checkpoint + a WAL tail. `legacy`, when
+  /// set, receives the checkpointed state as the legacy snapshot.dat
+  /// image the truncation test slices up.
+  void MakeGolden(const std::string& dir, SnapshotData* legacy = nullptr) {
     DurableOptions options;
-    options.backend = backend;
     options.fsync_mode = FsyncMode::kOff;
     auto d = DurableResourceManager::Open(dir, options);
     ASSERT_TRUE(d.ok()) << d.status().ToString();
@@ -74,6 +74,10 @@ class OpenHardeningTest : public ::testing::Test {
                       .ok());
     }
     ASSERT_TRUE((*d)->Checkpoint().ok());
+    if (legacy != nullptr) {
+      legacy->last_seq = (*d)->last_seq();
+      legacy->rdl_text = *org::DumpRdl((*d)->org());
+    }
     ASSERT_TRUE((*d)->ExecuteRdl("Insert Resource Employee 'tail' "
                                  "(ContactInfo = 't@x.com', Location = 'PA', "
                                  "Experience = 2);")
@@ -166,8 +170,9 @@ TEST_F(OpenHardeningTest, EmptyDirectoryIsAFreshStore) {
 
 TEST_F(OpenHardeningTest, TruncatedSnapshotFailsTypedAtEveryBoundary) {
   std::string golden = Dir("golden");
-  ASSERT_NO_FATAL_FAILURE(MakeGolden(golden, StorageBackend::kSnapshot));
-  const std::string snapshot = ReadBytes(golden + "/snapshot.dat");
+  SnapshotData legacy;
+  ASSERT_NO_FATAL_FAILURE(MakeGolden(golden, &legacy));
+  const std::string snapshot = EncodeSnapshot(legacy);
   ASSERT_GT(snapshot.size(), 8u);
 
   // Cut at every 1/8 boundary (including the empty file). A truncated
@@ -191,6 +196,7 @@ TEST_F(OpenHardeningTest, TruncatedSnapshotFailsTypedAtEveryBoundary) {
   }
 
   // Sanity: the uncut snapshot still opens.
+  WriteBytes(golden + "/snapshot.dat", snapshot);
   auto d = DurableResourceManager::Open(golden);
   ASSERT_TRUE(d.ok()) << d.status().ToString();
 }

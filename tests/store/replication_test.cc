@@ -13,7 +13,9 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <map>
 #include <memory>
@@ -28,6 +30,8 @@
 #include "store/durable_rm.h"
 #include "store/record.h"
 #include "store/replication.h"
+#include "store/snapshot.h"
+#include "store/wal.h"
 #include "testutil/paper_org.h"
 #include "testutil/repro.h"
 
@@ -157,12 +161,12 @@ TEST_F(ReplicationTest, ShipsRecordsAndConverges) {
 }
 
 TEST_F(ReplicationTest, SavedWorldBasisSeedsABlankFollower) {
-  // A home written by SaveWorld carries its whole state in a snapshot
-  // at seq 0 — no WAL record reproduces it. Seq continuity alone would
-  // let records 1..N apply cleanly onto a blank follower that never saw
-  // that basis, silently forking the pair (and losing the policy base
-  // on failover). First contact with a blank follower must therefore
-  // seed it via snapshot catch-up before any record ships.
+  // A home written by SaveWorld carries its whole state in pages.db at
+  // seq 0 — no WAL record reproduces it. Seq continuity alone would let
+  // records 1..N apply cleanly onto a blank follower that never saw that
+  // basis, silently forking the pair (and losing the policy base on
+  // failover). First contact with a blank follower must therefore seed
+  // it via catch-up before any record ships.
   auto world = testutil::BuildPaperWorld();
   ASSERT_TRUE(world.ok()) << world.status().ToString();
   core::ResourceManager rm(world->org.get(), world->store.get());
@@ -199,8 +203,8 @@ TEST_F(ReplicationTest, SavedWorldBasisSeedsABlankFollower) {
             primary->StateFingerprint(/*include_deadlines=*/false));
   EXPECT_FALSE(shipper.divergence_detected());
   EXPECT_FALSE((*applier)->diverged());
-  // The saved basis really crossed (a resource only the snapshot held),
-  // and so did the post-save record.
+  // The saved basis really crossed (a resource only pages.db held), and
+  // so did the post-save record.
   EXPECT_TRUE(follower->org().GetResource({"Engineer", "gail"}).ok());
   EXPECT_TRUE(
       follower->org().GetResource({"Programmer", "postsave"}).ok());
@@ -297,6 +301,80 @@ TEST_F(ReplicationTest, SnapshotCatchupSeedsFreshFollower) {
   EXPECT_EQ(follower->StateFingerprint(/*include_deadlines=*/false),
             primary->StateFingerprint(/*include_deadlines=*/false));
   EXPECT_EQ(follower->last_seq(), primary->last_seq());
+}
+
+TEST_F(ReplicationTest, FailedCatchupInstallKeepsFollowerServing) {
+  // A catch-up install commits the shipped pages.db before it releases
+  // the follower's engine. A commit that fails at its rename must leave
+  // the follower exactly as it was; one that fails at the directory
+  // fsync lands after the rename and must keep the WAL. Either way the
+  // follower keeps serving, and the retried install converges.
+  for (const char* op : {"rename", "dirsync"}) {
+    SCOPED_TRACE(op);
+    SimulatedClock clock;
+    auto primary = OpenStore(std::string("primary_") + op, &clock);
+    auto follower = OpenStore(std::string("follower_") + op, &clock);
+    ASSERT_NE(primary, nullptr);
+    ASSERT_NE(follower, nullptr);
+    const std::string home = follower->dir();
+    auto wal_records = [&home] {
+      auto scan = ReadWal(home + "/wal.log");
+      return scan.ok() ? scan->payloads.size() : 0;
+    };
+    auto applier = ReplicaApplier::Attach(follower.get());
+    ASSERT_TRUE(applier.ok());
+    InProcessTransport link(applier->get());
+    WalShipper shipper(primary.get(), &link, /*epoch=*/1);
+
+    // Unarmed: first contact seeds the blank follower (and writes
+    // replica.meta through the same commit step), then a record ships.
+    ASSERT_TRUE(primary->ExecuteRdl(kRdl).ok());
+    ASSERT_TRUE(shipper.Pump().ok());
+    ASSERT_TRUE(primary->AddPolicyText(kPolicies).ok());
+    ASSERT_TRUE(shipper.Pump().ok());
+    const size_t records = wal_records();
+    ASSERT_GT(records, 0u);
+    const std::string before =
+        follower->StateFingerprint(/*include_deadlines=*/false);
+
+    // The primary checkpoints past the follower: the next pump can only
+    // catch it up by installing pages.db, and that commit fails once.
+    ASSERT_TRUE(primary->ExecuteRdl(InsertStatement(1)).ok());
+    ASSERT_TRUE(primary->Checkpoint().ok());
+    bool armed = true;
+    SetCommitSnapshotFaultHook([&armed, op](std::string_view step) {
+      if (!armed || step != op) return false;
+      armed = false;
+      return true;
+    });
+    Status pumped = shipper.Pump();
+    SetCommitSnapshotFaultHook(nullptr);
+    ASSERT_FALSE(pumped.ok());
+    EXPECT_FALSE(armed);
+    EXPECT_NE(pumped.message().find("pages.db: " + std::string(
+                  std::strerror(EIO))), std::string::npos)
+        << pumped.ToString();
+    EXPECT_FALSE(std::filesystem::exists(home + "/pages.db.tmp"));
+    EXPECT_EQ(wal_records(), records);
+    if (std::string(op) == "rename") {
+      EXPECT_EQ(follower->StateFingerprint(/*include_deadlines=*/false),
+                before);
+    } else {
+      // The rename landed, so the world follows the shipped file.
+      EXPECT_EQ(follower->last_seq(), primary->last_seq());
+    }
+    EXPECT_TRUE(follower->Checkpoint().ok());
+
+    for (int i = 0; i < 10 && (shipper.lag_records() != 0 ||
+                               follower->last_seq() != primary->last_seq());
+         ++i) {
+      ASSERT_TRUE(shipper.Pump().ok());
+    }
+    EXPECT_EQ(follower->last_seq(), primary->last_seq());
+    EXPECT_EQ(follower->StateFingerprint(/*include_deadlines=*/false),
+              primary->StateFingerprint(/*include_deadlines=*/false));
+    EXPECT_TRUE(follower->org().GetResource({"Programmer", "p1"}).ok());
+  }
 }
 
 TEST_F(ReplicationTest, PromotionFencesTheOldPrimary) {
