@@ -1,4 +1,4 @@
-// Execution-plan ablation for direct retrieval (paper §6): the
+// Execution-plan ablation (paper §6, policy/paper_retrieval.h): the
 // Filter-first and Policies-first join orders across the Figure 17
 // fragmentation sweep, plus the adaptive planner that chooses per the
 // analytic selectivity model on live statistics. The §6 curves predict
@@ -10,13 +10,15 @@
 
 #include <random>
 
+#include "policy/paper_retrieval.h"
 #include "policy/synthetic.h"
 
 namespace {
 
 using namespace wfrm::policy;  // NOLINT
+using Strategy = PaperRetrievalOptions::Strategy;
 
-void RunPlan(benchmark::State& state, DirectPlan plan,
+void RunPlan(benchmark::State& state, Strategy plan,
              bool general_placement = true) {
   size_t c = static_cast<size_t>(state.range(0));
   size_t q = 64 / c;  // N = 64·q·c = 4096 fixed, as in Figure 17.
@@ -29,10 +31,9 @@ void RunPlan(benchmark::State& state, DirectPlan plan,
   config.general_activity_placement = general_placement;
   auto w = SyntheticWorkload::Build(config);
   if (!w.ok()) std::abort();
-  (*w)->store().set_direct_plan(plan);
-  // Plan comparison needs every iteration to execute the plan; the
-  // repeated-query enforcement cache would hide it.
-  (*w)->store().set_cache_enabled(false);
+  // The ablation has no enforcement cache: every iteration executes the
+  // plan.
+  PaperRetrieval ablation((*w)->store(), {plan});
 
   std::mt19937 rng(7);
   std::vector<wfrm::rql::RqlQuery> queries;
@@ -43,7 +44,7 @@ void RunPlan(benchmark::State& state, DirectPlan plan,
   size_t i = 0;
   for (auto _ : state) {
     const auto& query = queries[i++ % queries.size()];
-    benchmark::DoNotOptimize((*w)->store().RelevantRequirements(
+    benchmark::DoNotOptimize(ablation.RelevantRequirements(
         query.resource(), query.activity(), query.spec.AsParams()));
   }
   state.counters["c"] = static_cast<double>(c);
@@ -51,13 +52,13 @@ void RunPlan(benchmark::State& state, DirectPlan plan,
 }
 
 void BM_Plan_FilterFirst(benchmark::State& state) {
-  RunPlan(state, DirectPlan::kFilterFirst);
+  RunPlan(state, Strategy::kFilterFirst);
 }
 void BM_Plan_PoliciesFirst(benchmark::State& state) {
-  RunPlan(state, DirectPlan::kPoliciesFirst);
+  RunPlan(state, Strategy::kPoliciesFirst);
 }
 void BM_Plan_Adaptive(benchmark::State& state) {
-  RunPlan(state, DirectPlan::kAdaptive);
+  RunPlan(state, Strategy::kAdaptive);
 }
 
 BENCHMARK(BM_Plan_FilterFirst)->Arg(1)->Arg(4)->Arg(16)->Arg(64);
@@ -68,13 +69,13 @@ BENCHMARK(BM_Plan_Adaptive)->Arg(1)->Arg(4)->Arg(16)->Arg(64);
 // (attribute partitions stay small, candidate lists grow with c): the
 // regime where Filter-first overtakes Policies-first.
 void BM_Plan_FilterFirst_Spread(benchmark::State& state) {
-  RunPlan(state, DirectPlan::kFilterFirst, /*general_placement=*/false);
+  RunPlan(state, Strategy::kFilterFirst, /*general_placement=*/false);
 }
 void BM_Plan_PoliciesFirst_Spread(benchmark::State& state) {
-  RunPlan(state, DirectPlan::kPoliciesFirst, /*general_placement=*/false);
+  RunPlan(state, Strategy::kPoliciesFirst, /*general_placement=*/false);
 }
 void BM_Plan_Adaptive_Spread(benchmark::State& state) {
-  RunPlan(state, DirectPlan::kAdaptive, /*general_placement=*/false);
+  RunPlan(state, Strategy::kAdaptive, /*general_placement=*/false);
 }
 BENCHMARK(BM_Plan_FilterFirst_Spread)->Arg(1)->Arg(16)->Arg(64);
 BENCHMARK(BM_Plan_PoliciesFirst_Spread)->Arg(1)->Arg(16)->Arg(64);

@@ -1,21 +1,27 @@
 // Relevant-policy retrieval strategies compared (paper §5, §6):
 //
-//   * Direct       — concatenated-index probes (§5.2 indexes driven by an
-//                    in-memory processor, the §6 closing guidance);
-//   * DirectScan   — same logic, indexes disabled (ablation: what the
-//                    §5.2 concatenated indexes buy);
+//   * Direct       — the store's reference plan: concatenated-index
+//                    probes (§5.2 indexes driven by an in-memory
+//                    processor, the §6 closing guidance);
+//   * DirectScan   — the same join order with indexes off (ablation:
+//                    what the §5.2 concatenated indexes buy);
 //   * Sql          — the literal Figure 13/14/15 views + union executed
-//                    on the embedded relational engine;
+//                    on the embedded relational engine (ablation);
 //   * Naive        — the §5.1 strawman: 4-column string table, re-parse
 //                    and re-evaluate every With clause per retrieval;
-//   * Compiled     — this repo's fast path: flat per-attribute interval
-//                    tables built once per (resource, activity) epoch.
+//   * Compiled     — the store's default path: flat per-attribute
+//                    interval tables built once per (resource, activity)
+//                    epoch.
+//
+// DirectScan and Sql run on policy/paper_retrieval.h, the others on the
+// serving PolicyStore and the naive baseline.
 
 #include <benchmark/benchmark.h>
 
 #include <random>
 
 #include "json_reporter.h"
+#include "policy/paper_retrieval.h"
 #include "policy/synthetic.h"
 #include "rel/executor.h"
 #include "rel/parser.h"
@@ -23,6 +29,7 @@
 namespace {
 
 using namespace wfrm::policy;  // NOLINT
+using Strategy = PaperRetrievalOptions::Strategy;
 
 std::unique_ptr<SyntheticWorkload> BuildWorkload(size_t scale_q,
                                                  size_t scale_c) {
@@ -50,35 +57,44 @@ std::vector<wfrm::rql::RqlQuery> MakeQueries(const SyntheticWorkload& w,
   return queries;
 }
 
-void RunRetrieval(benchmark::State& state, RetrievalMode mode,
-                  bool use_indexes, bool naive, bool compiled = false) {
+/// Who answers the timed retrievals.
+enum class Path { kStoreReference, kStoreCompiled, kNaive, kAblation };
+
+void RunRetrieval(benchmark::State& state, Path path,
+                  PaperRetrievalOptions ablation_options = {}) {
   size_t q = static_cast<size_t>(state.range(0));
   size_t c = static_cast<size_t>(state.range(1));
   auto w = BuildWorkload(q, c);
   auto queries = MakeQueries(*w, 64);
-  w->store().set_retrieval_mode(mode);
-  w->store().set_use_indexes(use_indexes);
-  // Measure the paper's own strategies unless the compiled fast path is
-  // what's being priced.
-  w->store().set_compiled_enabled(compiled);
+  w->store().set_compiled_enabled(path == Path::kStoreCompiled);
   // This bench prices the retrieval strategies themselves; the 64
   // queries repeat, so the enforcement cache would short-circuit every
   // iteration after the first lap. bench_cache prices the cache.
   w->store().set_cache_enabled(false);
+  std::unique_ptr<PaperRetrieval> ablation;
+  if (path == Path::kAblation) {
+    ablation = std::make_unique<PaperRetrieval>(w->store(), ablation_options);
+  }
+
+  auto retrieve = [&](const wfrm::rql::RqlQuery& query) {
+    const wfrm::rel::ParamMap spec = query.spec.AsParams();
+    if (path == Path::kNaive) {
+      return w->naive()->RelevantRequirements(query.resource(),
+                                              query.activity(), spec);
+    }
+    if (ablation != nullptr) {
+      return ablation->RelevantRequirements(query.resource(),
+                                            query.activity(), spec);
+    }
+    return w->store().RelevantRequirements(query.resource(), query.activity(),
+                                           spec);
+  };
 
   size_t i = 0;
   size_t relevant = 0;
   for (auto _ : state) {
-    const auto& query = queries[i++ % queries.size()];
-    if (naive) {
-      auto r = w->naive()->RelevantRequirements(
-          query.resource(), query.activity(), query.spec.AsParams());
-      if (r.ok()) relevant += r->size();
-    } else {
-      auto r = w->store().RelevantRequirements(
-          query.resource(), query.activity(), query.spec.AsParams());
-      if (r.ok()) relevant += r->size();
-    }
+    auto r = retrieve(queries[i++ % queries.size()]);
+    if (r.ok()) relevant += r->size();
   }
   state.counters["policies"] =
       static_cast<double>(w->store().num_requirement_rows());
@@ -88,24 +104,20 @@ void RunRetrieval(benchmark::State& state, RetrievalMode mode,
 }
 
 void BM_Retrieval_Direct(benchmark::State& state) {
-  RunRetrieval(state, RetrievalMode::kDirect, /*use_indexes=*/true,
-               /*naive=*/false);
+  RunRetrieval(state, Path::kStoreReference);
 }
 void BM_Retrieval_DirectScan(benchmark::State& state) {
-  RunRetrieval(state, RetrievalMode::kDirect, /*use_indexes=*/false,
-               /*naive=*/false);
+  RunRetrieval(state, Path::kAblation,
+               {Strategy::kFilterFirst, /*use_indexes=*/false});
 }
 void BM_Retrieval_Sql(benchmark::State& state) {
-  RunRetrieval(state, RetrievalMode::kSql, /*use_indexes=*/true,
-               /*naive=*/false);
+  RunRetrieval(state, Path::kAblation, {Strategy::kSql});
 }
 void BM_Retrieval_Naive(benchmark::State& state) {
-  RunRetrieval(state, RetrievalMode::kDirect, /*use_indexes=*/true,
-               /*naive=*/true);
+  RunRetrieval(state, Path::kNaive);
 }
 void BM_Retrieval_Compiled(benchmark::State& state) {
-  RunRetrieval(state, RetrievalMode::kDirect, /*use_indexes=*/true,
-               /*naive=*/false, /*compiled=*/true);
+  RunRetrieval(state, Path::kStoreCompiled);
 }
 
 // (q, c) pairs: N = 64·q·c policies — 1k, 4k, 16k.
@@ -118,19 +130,15 @@ BENCHMARK(BM_Retrieval_Sql)->RETRIEVAL_ARGS;
 BENCHMARK(BM_Retrieval_Naive)->RETRIEVAL_ARGS;
 BENCHMARK(BM_Retrieval_Compiled)->RETRIEVAL_ARGS;
 
-// The serialization satellite: before this PR the kSql path re-registered
-// views under an exclusive lock per query, so concurrent retrievals ran
-// one at a time. Shape-bucketed views + the plan cache leave only a
-// shared lock on the hot path; 8 threads should scale, not serialize.
+// Concurrent SQL retrieval: shape-bucketed views + the plan cache leave
+// only a shared lock on the hot path (re-registering views per query
+// under an exclusive lock ran retrievals one at a time); 8 threads
+// should scale, not serialize.
 void BM_Retrieval_SqlConcurrent(benchmark::State& state) {
   // Magic-static init is thread-safe: the first thread builds, the rest
   // block until it's ready.
-  static auto* w = [] {
-    auto built = BuildWorkload(8, 8);
-    built->store().set_retrieval_mode(RetrievalMode::kSql);
-    built->store().set_cache_enabled(false);
-    return built.release();
-  }();
+  static auto* w = BuildWorkload(8, 8).release();
+  static auto* sql = new PaperRetrieval(w->store(), {Strategy::kSql});
   static auto* queries = new std::vector<wfrm::rql::RqlQuery>(
       MakeQueries(*w, 64));
 
@@ -138,8 +146,8 @@ void BM_Retrieval_SqlConcurrent(benchmark::State& state) {
   size_t relevant = 0;
   for (auto _ : state) {
     const auto& query = (*queries)[i++ % queries->size()];
-    auto r = w->store().RelevantRequirements(
-        query.resource(), query.activity(), query.spec.AsParams());
+    auto r = sql->RelevantRequirements(query.resource(), query.activity(),
+                                       query.spec.AsParams());
     if (r.ok()) relevant += r->size();
   }
   benchmark::DoNotOptimize(relevant);

@@ -12,12 +12,16 @@
 //     queries.
 //
 // Also reports mean retrieval latency per strategy at each point, the
-// §6 "guideline" data for an in-memory query processor.
+// §6 "guideline" data for an in-memory query processor: the indexed
+// Filter-first plan ("direct"), the Figure 13-15 SQL and the naive
+// baseline. Selectivities and the first two strategies run on
+// policy/paper_retrieval.h.
 
 #include <chrono>
 #include <cstdio>
 #include <random>
 
+#include "policy/paper_retrieval.h"
 #include "policy/selectivity_model.h"
 #include "policy/synthetic.h"
 
@@ -52,6 +56,8 @@ MeasuredPoint Measure(size_t c, size_t q) {
     std::exit(1);
   }
 
+  PaperRetrieval direct((*w)->store());
+  PaperRetrieval sql((*w)->store(), {PaperRetrievalOptions::Strategy::kSql});
   std::mt19937 rng(7);
   MeasuredPoint out;
   using Clock = std::chrono::steady_clock;
@@ -62,18 +68,16 @@ MeasuredPoint Measure(size_t c, size_t q) {
     const std::string& res = query->resource();
     const std::string& act = query->activity();
 
-    auto sel = (*w)->store().MeasureViewSelectivity(res, act, spec);
+    auto sel = direct.MeasureViewSelectivity(res, act, spec);
     if (sel.ok()) {
       out.policies_rate += sel->policies_rate;
       out.filter_rate += sel->filter_rate;
     }
 
-    (*w)->store().set_retrieval_mode(RetrievalMode::kDirect);
     auto t0 = Clock::now();
-    (void)(*w)->store().RelevantRequirements(res, act, spec);
+    (void)direct.RelevantRequirements(res, act, spec);
     auto t1 = Clock::now();
-    (*w)->store().set_retrieval_mode(RetrievalMode::kSql);
-    (void)(*w)->store().RelevantRequirements(res, act, spec);
+    (void)sql.RelevantRequirements(res, act, spec);
     auto t2 = Clock::now();
     (void)(*w)->naive()->RelevantRequirements(res, act, spec);
     auto t3 = Clock::now();

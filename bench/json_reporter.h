@@ -38,10 +38,13 @@ class JsonLineReporter : public benchmark::ConsoleReporter {
     if (out_ == nullptr) return;
     for (const Run& run : reports) {
       if (run.error_occurred) continue;
+      // Adjusted times are in the bench's display unit (Unit(...)).
+      const double to_ns =
+          1e9 / benchmark::GetTimeUnitMultiplier(run.time_unit);
       *out_ << "{\"name\":\"" << Escape(run.benchmark_name())
             << "\",\"iterations\":" << run.iterations
-            << ",\"real_ns\":" << run.GetAdjustedRealTime()
-            << ",\"cpu_ns\":" << run.GetAdjustedCPUTime()
+            << ",\"real_ns\":" << run.GetAdjustedRealTime() * to_ns
+            << ",\"cpu_ns\":" << run.GetAdjustedCPUTime() * to_ns
             << ",\"threads\":" << run.threads << ",\"counters\":{";
       bool first = true;
       for (const auto& [name, counter] : run.counters) {

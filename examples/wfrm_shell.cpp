@@ -327,8 +327,8 @@ struct Shell {
           << "                      fresh durable home from this session\n"
           << "  status              health report (degraded state, WAL,\n"
           << "                      replication lag/epoch)\n"
-          << "  stats               retrieval/cache counters (plan cache,\n"
-          << "                      compiled tables, rewrite LRU, epoch);\n"
+          << "  stats               retrieval/cache counters (compiled\n"
+          << "                      tables, rewrite LRU, epoch);\n"
           << "                      with a cluster open, also per-shard\n"
           << "                      admission queue depth, shed/rejected\n"
           << "                      counts and breaker state\n"
@@ -366,21 +366,15 @@ struct Shell {
       return true;
     }
     if (lower == "stats") {
-      const policy::PolicyStore& s = Store();
-      const policy::StoreStatsSnapshot snap = s.StatsSnapshot();
+      const policy::StoreStatsSnapshot snap = Store().StatsSnapshot();
       std::cout << "retrievals:          " << snap.retrievals << "\n"
                 << "candidate rows:      " << snap.candidate_rows << "\n"
                 << "interval rows:       " << snap.interval_rows << "\n"
-                << "plans filter-first:  " << snap.plans_filter_first << "\n"
-                << "plans policies-first:" << snap.plans_policies_first << "\n"
                 << "retrieval cache:     " << snap.cache_hits << " hit / "
                 << snap.cache_misses << " miss / "
                 << snap.cache_invalidations << " stale\n"
                 << "rewrite cache:       " << snap.rewrite_cache_hits
                 << " hit / " << snap.rewrite_cache_misses << " miss\n"
-                << "plan cache:          " << snap.plan_cache_hits
-                << " hit / " << snap.plan_cache_misses << " miss ("
-                << s.plan_cache().size() << " plans resident)\n"
                 << "compiled tables:     " << snap.compiled_builds
                 << " built / " << snap.compiled_probes << " probes\n"
                 << "epoch:               " << snap.epoch << "\n";

@@ -94,9 +94,9 @@ int64_t BruteForceMinCost(const WorkflowSpec& spec,
 
 /// Confirms one witness assignment against the enforcement oracle: a
 /// fresh Submit must offer the resource, either directly or — for a
-/// substitution-tier pick — after the primary candidates are occupied.
-Status VerifyAgainstOracle(core::ResourceManager* rm, const std::string& rql,
-                           const WspAssignment& a) {
+/// substitution-tier pick — with the primary candidates treated as busy.
+Status VerifyAgainstOracle(const core::ResourceManager* rm,
+                           const std::string& rql, const WspAssignment& a) {
   WFRM_ASSIGN_OR_RETURN(core::QueryOutcome outcome, rm->Submit(rql));
   if (!outcome.ok()) {
     return Status::ExecutionError(
@@ -108,14 +108,9 @@ Status VerifyAgainstOracle(core::ResourceManager* rm, const std::string& rql,
     if (ref == a.resource) return Status::OK();
   }
   // Substitution tier: the oracle only reveals §4.3 alternatives once
-  // the primaries are unavailable — occupy them and ask again.
-  std::vector<core::Lease> held;
-  for (const org::ResourceRef& ref : outcome.candidates) {
-    Result<core::Lease> lease = rm->AllocateLease(ref);
-    if (lease.ok()) held.push_back(*lease);
-  }
-  Result<core::QueryOutcome> shadowed = rm->Submit(rql);
-  for (const core::Lease& lease : held) rm->Release(lease);
+  // the primaries are unavailable — ask again with them marked busy.
+  Result<core::QueryOutcome> shadowed =
+      rm->Submit(rql, /*unavailable=*/outcome.candidates);
   if (shadowed.ok() && shadowed->ok()) {
     for (const org::ResourceRef& ref : shadowed->candidates) {
       if (ref == a.resource) return Status::OK();

@@ -37,7 +37,7 @@ DifferentialCase GenerateCase(uint64_t seed);
 ///  * a claimed witness is checked per-activity against a fresh
 ///    `Submit` — every assignment must be a resource the enforcement
 ///    oracle itself offers (substitution-tier picks are confirmed by
-///    occupying the primaries and re-submitting);
+///    re-submitting with the primaries treated as busy);
 ///  * a claimed witness is checked against the spec's constraints by a
 ///    direct re-implementation that shares no code with the solver;
 ///  * a claimed UNSAT is confirmed by brute-force enumeration of the

@@ -49,7 +49,7 @@ std::string RenderRefs(const std::vector<org::ResourceRef>& refs) {
 
 }  // namespace
 
-WorkflowAnalyzer::WorkflowAnalyzer(core::ResourceManager* rm,
+WorkflowAnalyzer::WorkflowAnalyzer(const core::ResourceManager* rm,
                                    AnalysisOptions options)
     : rm_(rm), options_(options) {
   obs::MetricsRegistry* reg = options_.metrics;
@@ -98,22 +98,14 @@ Result<StepCandidates> WorkflowAnalyzer::DeriveOne(
     out.candidates.push_back({ref, primary_cost});
   }
 
-  // Round 2 (substitution tier): briefly occupy every primary candidate
-  // and ask again — the pipeline itself falls through to its §4.3
+  // Round 2 (substitution tier): ask again as if every primary candidate
+  // were busy — the pipeline itself falls through to its §4.3
   // alternatives, telling us who substitutes (at cost 1) when the
-  // primaries are gone. The leases are released before returning.
+  // primaries are gone. Nothing is leased.
   if (options_.include_substitution_tier && !outcome.used_substitution &&
       rm_->options().enable_substitution) {
-    std::vector<core::Lease> held;
-    held.reserve(outcome.candidates.size());
-    for (const org::ResourceRef& ref : outcome.candidates) {
-      Result<core::Lease> lease = rm_->AllocateLease(ref);
-      if (lease.ok()) held.push_back(*lease);
-    }
-    Result<core::QueryOutcome> shadowed = rm_->Submit(step.rql);
-    for (const core::Lease& lease : held) {
-      rm_->Release(lease);  // best effort; the grant is ours and live
-    }
+    Result<core::QueryOutcome> shadowed =
+        rm_->Submit(step.rql, /*unavailable=*/outcome.candidates);
     if (shadowed.ok() && shadowed->ok() && shadowed->used_substitution) {
       for (const org::ResourceRef& ref : shadowed->candidates) {
         out.candidates.push_back({ref, 1});

@@ -24,9 +24,9 @@ struct AnalysisOptions {
   /// witness instead of stopping at the first one.
   bool valued = false;
   /// Also derive each step's substitution tier (cost-1 candidates) by
-  /// briefly occupying the primary candidates and re-enforcing — the
+  /// re-enforcing with the primary candidates treated as busy — the
   /// pipeline itself answers "who substitutes when the primaries are
-  /// gone". Disable for a strictly read-only analysis of primaries.
+  /// gone".
   bool include_substitution_tier = true;
   /// Above this many k-subsets the resiliency sweep samples instead of
   /// enumerating.
@@ -81,13 +81,14 @@ struct AnalysisReport {
 /// witness can be re-verified step-by-step against Enforce (see
 /// analysis/differential.h).
 ///
-/// The substitution tier briefly allocates primary candidates to make
-/// the pipeline produce its §4.3 alternatives, then releases them —
-/// run Analyze on a manager whose allocation state you are free to
-/// perturb (an offline copy, or a quiesced instance).
+/// The substitution tier resubmits with the primary candidates treated
+/// as busy, so the pipeline produces its §4.3 alternatives. Analysis only
+/// reads the manager: WSP is posed over a fixed authorization relation,
+/// and computing it leaves leases, allocation state and journals as they
+/// were, so Analyze may run beside live traffic.
 class WorkflowAnalyzer {
  public:
-  explicit WorkflowAnalyzer(core::ResourceManager* rm,
+  explicit WorkflowAnalyzer(const core::ResourceManager* rm,
                             AnalysisOptions options = {});
 
   Result<AnalysisReport> Analyze(const WorkflowSpec& spec) const;
@@ -107,7 +108,7 @@ class WorkflowAnalyzer {
       const WorkflowSpec& spec, const std::vector<StepCandidates>& candidates,
       bool base_satisfiable, obs::TraceSpan* parent) const;
 
-  core::ResourceManager* rm_;
+  const core::ResourceManager* rm_;
   AnalysisOptions options_;
 
   /// Resolved instruments; all null when options_.metrics is null.

@@ -1,5 +1,6 @@
 #include "core/resource_manager.h"
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <thread>
@@ -219,8 +220,8 @@ bool ResourceManager::IsUnavailableLocked(const org::ResourceRef& ref,
 
 Result<size_t> ResourceManager::RunQueries(
     const std::vector<rql::RqlQuery>& queries, QueryOutcome* outcome,
-    obs::TraceSpan* parent, const char* stage,
-    const RequestContext* ctx) const {
+    obs::TraceSpan* parent, const char* stage, const RequestContext* ctx,
+    const RefList* unavailable) const {
   obs::ScopedSpan span(parent, "execute");
   obs::Attr(span, "stage", stage);
   obs::Attr(span, "queries", static_cast<int64_t>(queries.size()));
@@ -262,6 +263,11 @@ Result<size_t> ResourceManager::RunQueries(
     const int64_t now = clock_->NowMicros();
     for (rel::Row& row : rs.rows) {
       org::ResourceRef ref{type, row[0].string_value()};
+      if (unavailable != nullptr &&
+          std::find(unavailable->begin(), unavailable->end(), ref) !=
+              unavailable->end()) {
+        continue;
+      }
       {
         // Busy or down resources are unavailable.
         std::lock_guard<std::mutex> lock(mutex_);
@@ -284,7 +290,7 @@ Result<size_t> ResourceManager::RunQueries(
 
 Result<QueryOutcome> ResourceManager::SubmitImpl(
     const rql::RqlQuery& query, obs::EnforcementTrace* trace,
-    const RequestContext* ctx) const {
+    const RequestContext* ctx, const RefList* unavailable) const {
   const bool timed = metrics_.submit_latency != nullptr;
   const int64_t t0 = timed ? clock_->NowMicros() : 0;
   obs::TraceSpan* root = trace != nullptr ? trace->root() : nullptr;
@@ -350,7 +356,8 @@ Result<QueryOutcome> ResourceManager::SubmitImpl(
 
     WFRM_ASSIGN_OR_RETURN(
         size_t found,
-        RunQueries(primary->queries, &outcome, root, "primary", ctx));
+        RunQueries(primary->queries, &outcome, root, "primary", ctx,
+                   unavailable));
     if (found > 0) return outcome;
 
     // Stage 3 (§4.3): the *initial* query is re-sent for substitution;
@@ -374,7 +381,7 @@ Result<QueryOutcome> ResourceManager::SubmitImpl(
         }
         WFRM_ASSIGN_OR_RETURN(found,
                               RunQueries(alternatives.queries, &outcome, root,
-                                         "alternatives", ctx));
+                                         "alternatives", ctx, unavailable));
         if (found > 0) return outcome;
       }
     }
@@ -457,17 +464,31 @@ Result<QueryOutcome> ResourceManager::Submit(const rql::RqlQuery& query,
   return SubmitImpl(query, trace, ctx);
 }
 
+Result<QueryOutcome> ResourceManager::SubmitToSink(
+    const rql::RqlQuery& query, const RequestContext* ctx,
+    const RefList* unavailable) const {
+  if (options_.trace_sink == nullptr) {
+    return SubmitImpl(query, nullptr, ctx, unavailable);
+  }
+  auto trace =
+      std::make_shared<obs::EnforcementTrace>(query.ToString(), clock_);
+  Result<QueryOutcome> result =
+      SubmitImpl(query, trace.get(), ctx, unavailable);
+  trace->Finish();
+  options_.trace_sink->Add(std::move(trace));
+  return result;
+}
+
 Result<QueryOutcome> ResourceManager::Submit(
     const rql::RqlQuery& query) const {
-  if (options_.trace_sink != nullptr) {
-    auto trace =
-        std::make_shared<obs::EnforcementTrace>(query.ToString(), clock_);
-    Result<QueryOutcome> result = SubmitImpl(query, trace.get(), nullptr);
-    trace->Finish();
-    options_.trace_sink->Add(std::move(trace));
-    return result;
-  }
-  return SubmitImpl(query, nullptr, nullptr);
+  return SubmitToSink(query, nullptr, nullptr);
+}
+
+Result<QueryOutcome> ResourceManager::Submit(
+    std::string_view rql_text, const RefList& unavailable) const {
+  WFRM_ASSIGN_OR_RETURN(rql::RqlQuery query,
+                        rql::ParseAndBindRql(rql_text, *org_));
+  return SubmitToSink(query, nullptr, &unavailable);
 }
 
 Result<QueryOutcome> ResourceManager::Submit(std::string_view rql_text) const {
@@ -482,15 +503,7 @@ Result<QueryOutcome> ResourceManager::Submit(std::string_view rql_text,
   WFRM_RETURN_NOT_OK(ctx.CheckAlive());
   WFRM_ASSIGN_OR_RETURN(rql::RqlQuery query,
                         rql::ParseAndBindRql(rql_text, *org_));
-  if (options_.trace_sink != nullptr) {
-    auto trace =
-        std::make_shared<obs::EnforcementTrace>(query.ToString(), clock_);
-    Result<QueryOutcome> result = SubmitImpl(query, trace.get(), &ctx);
-    trace->Finish();
-    options_.trace_sink->Add(std::move(trace));
-    return result;
-  }
-  return SubmitImpl(query, nullptr, &ctx);
+  return SubmitToSink(query, &ctx, nullptr);
 }
 
 Result<ResourceManager::Explanation> ResourceManager::ExplainQuery(

@@ -195,6 +195,14 @@ class ResourceManager {
   /// Same for an already parsed-and-bound query.
   Result<QueryOutcome> Submit(const rql::RqlQuery& query) const;
 
+  /// Submit as if every ref in `unavailable` were busy, in the primary
+  /// round and in substitution alike; allocation state is only read.
+  /// Offline analysis uses it to see who substitutes for the primaries
+  /// without leasing them.
+  Result<QueryOutcome> Submit(
+      std::string_view rql_text,
+      const std::vector<org::ResourceRef>& unavailable) const;
+
   /// Submit, recording the full decision log into `trace` (may be null —
   /// then identical to Submit). The caller owns the trace and calls
   /// Finish(); the configured trace_sink is NOT involved. `ctx` (may be
@@ -388,19 +396,30 @@ class ResourceManager {
     int64_t deadline_micros = Lease::kNoExpiry;
   };
 
+  /// Refs a Submit treats as busy on top of the allocation table.
+  using RefList = std::vector<org::ResourceRef>;
+
   /// Executes enforced queries; appends hits to `outcome`. Returns the
   /// number of available resources found. When `parent` is non-null an
   /// "execute" span records matched/available/filtered row counts for
   /// `stage` ("primary" or "alternatives").
   Result<size_t> RunQueries(const std::vector<rql::RqlQuery>& queries,
                             QueryOutcome* outcome, obs::TraceSpan* parent,
-                            const char* stage,
-                            const RequestContext* ctx) const;
+                            const char* stage, const RequestContext* ctx,
+                            const RefList* unavailable) const;
 
-  /// The traced/metered Submit body; `trace` and `ctx` may be null.
+  /// The traced/metered Submit body; `trace`, `ctx` and `unavailable`
+  /// may be null.
   Result<QueryOutcome> SubmitImpl(const rql::RqlQuery& query,
                                   obs::EnforcementTrace* trace,
-                                  const RequestContext* ctx) const;
+                                  const RequestContext* ctx,
+                                  const RefList* unavailable = nullptr) const;
+
+  /// SubmitImpl, delivering a decision log to options_.trace_sink when
+  /// one is configured.
+  Result<QueryOutcome> SubmitToSink(const rql::RqlQuery& query,
+                                    const RequestContext* ctx,
+                                    const RefList* unavailable) const;
 
   std::vector<Result<QueryOutcome>> SubmitBatchImpl(
       const std::vector<std::string>& rql_texts, size_t num_workers,

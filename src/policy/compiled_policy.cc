@@ -6,12 +6,6 @@
 
 namespace wfrm::policy {
 
-size_t CompiledPolicyTable::num_interval_rows() const {
-  size_t n = 0;
-  for (const AttrPartition& p : partitions) n += p.lo.size();
-  return n;
-}
-
 std::vector<RelevantRequirement> CompiledPolicyTable::Probe(
     const std::vector<std::pair<std::string, std::string>>& encoded_spec)
     const {

@@ -44,9 +44,6 @@ class CompiledPolicyTable {
   // Partitions sorted by attribute (probed by binary search).
   std::vector<AttrPartition> partitions;
 
-  size_t num_entries() const { return pids.size(); }
-  size_t num_interval_rows() const;
-
   /// §4.2 probe over an encoded specification (canonical attribute →
   /// EncodeKey'd value): counts enclosing intervals per entry and emits
   /// the entries whose intervals all enclose the specification, or that

@@ -12,22 +12,7 @@ namespace wfrm::policy {
 
 namespace {
 
-constexpr char kQualifications[] = "Qualifications";
-constexpr char kPolicies[] = "Policies";
-constexpr char kFilter[] = "Filter";
-constexpr char kSubstPolicies[] = "SubstPolicies";
-constexpr char kSubstFilter[] = "SubstFilter";
-
-/// SQL string literal with '' escaping.
-std::string Quote(const std::string& s) {
-  std::string out = "'";
-  for (char c : s) {
-    if (c == '\'') out += "''";
-    else out.push_back(c);
-  }
-  out += "'";
-  return out;
-}
+using namespace relations;  // NOLINT: the table names.
 
 rel::Schema FilterSchema() {
   return rel::Schema({{"PID", rel::DataType::kInt},
@@ -46,14 +31,31 @@ NameSet ToSet(const std::vector<std::string>& names) {
   return NameSet(names.begin(), names.end());
 }
 
-/// Rounds a list size up to the next power of two (minimum 1): the kSql
-/// path buckets query shapes by these so a handful of parameterized view
-/// definitions — padded by repeating the last element, which is
-/// idempotent under In-list/Or set semantics — serve every query.
-size_t ShapeBucket(size_t n) {
-  size_t b = 1;
-  while (b < n) b <<= 1;
-  return b;
+/// True when some disjunct of an activity range holds the bindings.
+Result<bool> AnyRangeContains(const std::vector<ConjunctiveRange>& ranges,
+                              const rel::ParamMap& bindings) {
+  for (const ConjunctiveRange& range : ranges) {
+    WFRM_ASSIGN_OR_RETURN(bool x, RangeContainsBindings(range, bindings));
+    if (x) return true;
+  }
+  return false;
+}
+
+/// §4.3 condition 2: a substituted range clause (stored text; empty
+/// means unrestricted) meets some disjunct of the query's range.
+Result<bool> RangeClauseMeets(const std::string& clause,
+                              const std::vector<ConjunctiveRange>& query) {
+  if (clause.empty()) return true;
+  WFRM_ASSIGN_OR_RETURN(rel::ExprPtr parsed, rel::SqlParser::ParseExpr(clause));
+  WFRM_ASSIGN_OR_RETURN(std::vector<ConjunctiveRange> ranges,
+                        NormalizeRangeClause(parsed.get()));
+  for (const ConjunctiveRange& q : query) {
+    for (const ConjunctiveRange& r : ranges) {
+      WFRM_ASSIGN_OR_RETURN(bool x, RangesIntersect(q, r));
+      if (x) return true;
+    }
+  }
+  return false;
 }
 
 }  // namespace
@@ -64,15 +66,11 @@ StoreStatsSnapshot StoreStatsSnapshot::operator-(
   d.retrievals = retrievals - earlier.retrievals;
   d.candidate_rows = candidate_rows - earlier.candidate_rows;
   d.interval_rows = interval_rows - earlier.interval_rows;
-  d.plans_filter_first = plans_filter_first - earlier.plans_filter_first;
-  d.plans_policies_first = plans_policies_first - earlier.plans_policies_first;
   d.cache_hits = cache_hits - earlier.cache_hits;
   d.cache_misses = cache_misses - earlier.cache_misses;
   d.cache_invalidations = cache_invalidations - earlier.cache_invalidations;
   d.rewrite_cache_hits = rewrite_cache_hits - earlier.rewrite_cache_hits;
   d.rewrite_cache_misses = rewrite_cache_misses - earlier.rewrite_cache_misses;
-  d.plan_cache_hits = plan_cache_hits - earlier.plan_cache_hits;
-  d.plan_cache_misses = plan_cache_misses - earlier.plan_cache_misses;
   d.compiled_builds = compiled_builds - earlier.compiled_builds;
   d.compiled_probes = compiled_probes - earlier.compiled_probes;
   d.bloom_probes = bloom_probes - earlier.bloom_probes;
@@ -81,16 +79,18 @@ StoreStatsSnapshot StoreStatsSnapshot::operator-(
   return d;
 }
 
-PolicyStore::PolicyStore(const org::OrgModel* org) : org_(org) {
+namespace relations {
+
+void CreatePolicyRelations(rel::Database* db) {
   // Table creation on a fresh database cannot fail.
   rel::Table* quals =
-      *db_.CreateTable(kQualifications,
+      *db->CreateTable(kQualifications,
                        rel::Schema({{"PID", rel::DataType::kInt},
                                     {"Resource", rel::DataType::kString},
                                     {"Activity", rel::DataType::kString}}));
   (void)quals->CreateOrderedIndex("quals_by_activity", {"Activity"});
 
-  rel::Table* policies = *db_.CreateTable(
+  rel::Table* policies = *db->CreateTable(
       kPolicies, rel::Schema({{"PID", rel::DataType::kInt},
                               {"GroupID", rel::DataType::kInt},
                               {"Activity", rel::DataType::kString},
@@ -102,16 +102,16 @@ PolicyStore::PolicyStore(const org::OrgModel* org) : org_(org) {
   (void)policies->CreateOrderedIndex("policies_act_res",
                                      {"Activity", "Resource"});
 
-  rel::Table* filter = *db_.CreateTable(kFilter, FilterSchema());
+  rel::Table* filter = *db->CreateTable(kFilter, FilterSchema());
   // §5.2: "a concatenated index on attributes Attribute, LowerBound and
   // UpperBound".
   (void)filter->CreateOrderedIndex("filter_attr_bounds",
                                    {"Attribute", "LowerBound", "UpperBound"});
-  // Supports the Policies-first join order (per-candidate interval
-  // verification by PID).
+  // Per-candidate interval lookup: the compiled-table build and the
+  // Policies-first join order.
   (void)filter->CreateHashIndex("filter_by_pid", {"PID"});
 
-  rel::Table* subst = *db_.CreateTable(
+  rel::Table* subst = *db->CreateTable(
       kSubstPolicies,
       rel::Schema({{"PID", rel::DataType::kInt},
                    {"GroupID", rel::DataType::kInt},
@@ -123,9 +123,117 @@ PolicyStore::PolicyStore(const org::OrgModel* org) : org_(org) {
                    {"SubstitutingWhere", rel::DataType::kString}}));
   (void)subst->CreateOrderedIndex("subst_act_res", {"Activity", "Resource"});
 
-  rel::Table* subst_filter = *db_.CreateTable(kSubstFilter, FilterSchema());
+  rel::Table* subst_filter = *db->CreateTable(kSubstFilter, FilterSchema());
   (void)subst_filter->CreateOrderedIndex(
       "subst_filter_attr_bounds", {"Attribute", "LowerBound", "UpperBound"});
+}
+
+Status LoadRows(const PolicyImage& image, rel::Database* db) {
+  struct Load {
+    const char* table;
+    const std::vector<rel::Row>* rows;
+  };
+  const Load loads[] = {{kQualifications, &image.qualifications},
+                        {kPolicies, &image.policies},
+                        {kFilter, &image.filter},
+                        {kSubstPolicies, &image.subst_policies},
+                        {kSubstFilter, &image.subst_filter}};
+  for (const Load& load : loads) {
+    rel::Table* table = db->GetTable(load.table);
+    table->Clear();
+    for (const rel::Row& row : *load.rows) {
+      WFRM_RETURN_NOT_OK(table->Insert(row).status());
+    }
+  }
+  return Status::OK();
+}
+
+std::vector<CandidateRow> CandidatePolicies(
+    const rel::Database& db, const char* table,
+    const std::vector<std::string>& activities,
+    const std::vector<std::string>& resources, ScanWork* work) {
+  const rel::Table* policies = db.GetTable(table);
+  const rel::OrderedIndex* idx = policies->ordered_indexes()[0].get();
+  std::vector<CandidateRow> out;
+  for (const std::string& a : activities) {
+    for (const std::string& r : resources) {
+      rel::IndexProbe probe;
+      probe.equals = {rel::Value::String(a), rel::Value::String(r)};
+      for (rel::RowId rid : idx->Scan(probe)) {
+        if (!policies->IsLive(rid)) continue;
+        ++work->candidate_rows;
+        const rel::Row& row = policies->row(rid);
+        out.push_back(CandidateRow{row[0].int_value(), row[1].int_value(),
+                                   row[4].int_value(), &row});
+      }
+    }
+  }
+  return out;
+}
+
+bool Encloses(const rel::Row& row, const std::string& enc) {
+  const std::string& lo = row[2].string_value();
+  const std::string& up = row[3].string_value();
+  if (enc < lo || (enc == lo && !row[4].bool_value())) return false;
+  if (up < enc || (enc == up && !row[5].bool_value())) return false;
+  return true;
+}
+
+Result<std::unordered_map<int64_t, int64_t>> CountEnclosingIntervals(
+    const rel::Database& db, const char* filter_table,
+    const rel::ParamMap& spec, ScanWork* work) {
+  const rel::Table* filter = db.GetTable(filter_table);
+  const rel::OrderedIndex* idx = filter->ordered_indexes()[0].get();
+  std::unordered_map<int64_t, int64_t> counts;
+  for (const auto& [attr, value] : spec) {
+    WFRM_ASSIGN_OR_RETURN(std::string enc, EncodeKey(value));
+    // Equality on Attribute, range LowerBound <= enc; the upper bound is
+    // the residual check.
+    rel::IndexProbe probe;
+    probe.equals = {rel::Value::String(attr)};
+    probe.upper = rel::Bound{rel::Value::String(enc), /*inclusive=*/true};
+    for (rel::RowId rid : idx->Scan(probe)) {
+      if (!filter->IsLive(rid)) continue;
+      ++work->interval_rows;
+      const rel::Row& row = filter->row(rid);
+      if (Encloses(row, enc)) counts[row[0].int_value()]++;
+    }
+  }
+  return counts;
+}
+
+std::vector<RelevantRequirement> MergeCandidates(
+    const std::vector<CandidateRow>& candidates,
+    const std::unordered_map<int64_t, int64_t>& enclosing) {
+  std::vector<RelevantRequirement> out;
+  for (const CandidateRow& c : candidates) {
+    auto it = enclosing.find(c.pid);
+    const int64_t n = it == enclosing.end() ? 0 : it->second;
+    if (c.num_intervals == 0 || n == c.num_intervals) {
+      out.push_back(
+          RelevantRequirement{c.pid, c.group, (*c.row)[5].string_value()});
+    }
+  }
+  std::sort(out.begin(), out.end(),
+            [](const auto& a, const auto& b) { return a.pid < b.pid; });
+  return out;
+}
+
+rel::ParamMap CanonicalizeSpec(const org::OrgModel& org,
+                               const std::string& activity,
+                               const rel::ParamMap& spec) {
+  rel::ParamMap out;
+  for (const auto& [attr, value] : spec) {
+    auto def = org.activities().FindAttribute(activity, attr);
+    out[def.ok() ? def->name : attr] = value;
+  }
+  return out;
+}
+
+}  // namespace relations
+
+PolicyStore::PolicyStore(const org::OrgModel* org) : org_(org) {
+  relations::CreatePolicyRelations(&db_);
 }
 
 // ---- Validation -----------------------------------------------------------
@@ -303,7 +411,6 @@ Result<int64_t> PolicyStore::InsertDecomposed(
                        rel::Value::Bool(interval.upper_inclusive)};
       WFRM_RETURN_NOT_OK(filter->Insert(frow).status());
       RecordDelta(filter_table, /*deleted=*/false, frow);
-      if (filter_table == kFilter) ++filter_attr_counts_[attr];
     }
   }
   return group;
@@ -399,12 +506,6 @@ std::string PolicyStore::RetrievalCacheKey(const char* tag,
                                            const rel::ParamMap& spec) const {
   std::string key;
   AppendCacheKeyPart(&key, tag);
-  AppendCacheKeyPart(&key, std::to_string(static_cast<int>(
-                               mode_.load(std::memory_order_relaxed))));
-  AppendCacheKeyPart(&key, std::to_string(static_cast<int>(
-                               plan_.load(std::memory_order_relaxed))));
-  AppendCacheKeyPart(&key,
-                     use_indexes_.load(std::memory_order_relaxed) ? "i1" : "i0");
   AppendCacheKeyPart(
       &key, compiled_enabled_.load(std::memory_order_relaxed) ? "c1" : "c0");
   AppendCacheKeyPart(&key, resource);
@@ -466,13 +567,6 @@ void PolicyStore::set_metrics(obs::MetricsRegistry* registry) {
       lookups, {{"cache", "rewrite"}, {"outcome", "miss"}}, lookups_help);
   metrics_.rewrite_stale = registry->GetCounter(
       lookups, {{"cache", "rewrite"}, {"outcome", "stale"}}, lookups_help);
-  metrics_.plan_hits = registry->GetCounter(
-      "wfrm_rel_plan_cache_hits_total", {},
-      "Prepared-query plan cache hits (kSql retrieval)");
-  metrics_.plan_misses = registry->GetCounter(
-      "wfrm_rel_plan_cache_misses_total", {},
-      "Prepared-query plan cache misses, including catalog-version "
-      "invalidations");
   metrics_.compiled_builds = registry->GetCounter(
       "wfrm_policy_compiled_builds_total", {},
       "Compiled policy tables built (lazy, per resource/activity/epoch)");
@@ -487,30 +581,22 @@ Result<std::vector<std::string>> PolicyStore::QualifiedSubtypesLocked(
     const std::string& resource, const std::string& activity) const {
   WFRM_ASSIGN_OR_RETURN(std::vector<std::string> act_ancestors,
                         org_->activities().Ancestors(activity));
-  NameSet act_set = ToSet(act_ancestors);
 
   // Resource types directly qualified for some super-type of `activity`.
   NameSet qualified;
   const rel::Table* quals = db_.GetTable(kQualifications);
-  if (use_indexes_) {
-    const rel::OrderedIndex* idx = quals->ordered_indexes()[0].get();
-    for (const std::string& a : act_ancestors) {
-      rel::IndexProbe probe;
-      probe.equals = {rel::Value::String(a)};
-      for (rel::RowId rid : idx->Scan(probe)) {
-        if (!quals->IsLive(rid)) continue;
-        ++stats_.candidate_rows;
-        qualified.insert(quals->row(rid)[1].string_value());
-      }
+  const rel::OrderedIndex* idx = quals->ordered_indexes()[0].get();
+  relations::ScanWork work;
+  for (const std::string& a : act_ancestors) {
+    rel::IndexProbe probe;
+    probe.equals = {rel::Value::String(a)};
+    for (rel::RowId rid : idx->Scan(probe)) {
+      if (!quals->IsLive(rid)) continue;
+      ++work.candidate_rows;
+      qualified.insert(quals->row(rid)[1].string_value());
     }
-  } else {
-    quals->ForEach([&](rel::RowId, const rel::Row& row) {
-      ++stats_.candidate_rows;
-      if (act_set.count(row[2].string_value()) > 0) {
-        qualified.insert(row[1].string_value());
-      }
-    });
   }
+  NoteWork(work);
 
   // §4.1: keep the sub-types of `resource` one of whose ancestors is
   // directly qualified.
@@ -582,331 +668,22 @@ Result<bool> PolicyStore::IsQualified(const std::string& resource,
 
 // ---- Requirement retrieval ---------------------------------------------------
 
-Result<std::vector<PolicyStore::CandidateRow>> PolicyStore::CandidatePolicies(
-    const std::string& table, const std::vector<std::string>& activities,
-    const std::vector<std::string>& resources) const {
-  const rel::Table* policies = db_.GetTable(table);
-  std::vector<CandidateRow> out;
-  auto add_row = [&](const rel::Row& row) {
-    out.push_back(CandidateRow{row[0].int_value(), row[1].int_value(),
-                               row[4].int_value(), &row});
-  };
-  if (use_indexes_) {
-    const rel::OrderedIndex* idx = policies->ordered_indexes()[0].get();
-    for (const std::string& a : activities) {
-      for (const std::string& r : resources) {
-        rel::IndexProbe probe;
-        probe.equals = {rel::Value::String(a), rel::Value::String(r)};
-        for (rel::RowId rid : idx->Scan(probe)) {
-          if (!policies->IsLive(rid)) continue;
-          ++stats_.candidate_rows;
-          add_row(policies->row(rid));
-        }
-      }
-    }
-  } else {
-    NameSet act_set = ToSet(activities);
-    NameSet res_set = ToSet(resources);
-    policies->ForEach([&](rel::RowId, const rel::Row& row) {
-      ++stats_.candidate_rows;
-      if (act_set.count(row[2].string_value()) > 0 &&
-          res_set.count(row[3].string_value()) > 0) {
-        add_row(row);
-      }
-    });
-  }
-  return out;
-}
-
-rel::ParamMap PolicyStore::CanonicalizeSpec(const std::string& activity,
-                                            const rel::ParamMap& spec) const {
-  rel::ParamMap out;
-  for (const auto& [attr, value] : spec) {
-    auto def = org_->activities().FindAttribute(activity, attr);
-    out[def.ok() ? def->name : attr] = value;
-  }
-  return out;
-}
-
-Result<std::unordered_map<int64_t, int64_t>>
-PolicyStore::CountEnclosingIntervals(const std::string& filter_table,
-                                     const rel::ParamMap& spec) const {
-  const rel::Table* filter = db_.GetTable(filter_table);
-  std::unordered_map<int64_t, int64_t> counts;
-
-  // Residual predicate shared by both paths: the interval row [lo, up]
-  // (encoded, with inclusivity flags) must enclose the encoded value.
-  auto encloses = [](const rel::Row& row, const std::string& enc) {
-    const std::string& lo = row[2].string_value();
-    const std::string& up = row[3].string_value();
-    bool lo_incl = row[4].bool_value();
-    bool up_incl = row[5].bool_value();
-    if (enc < lo || (enc == lo && !lo_incl)) return false;
-    if (up < enc || (enc == up && !up_incl)) return false;
-    return true;
-  };
-
-  for (const auto& [attr, value] : spec) {
-    WFRM_ASSIGN_OR_RETURN(std::string enc, EncodeKey(value));
-    if (use_indexes_) {
-      // Probe the concatenated (Attribute, LowerBound, UpperBound)
-      // index: equality on Attribute, range LowerBound <= enc.
-      const rel::OrderedIndex* idx = filter->ordered_indexes()[0].get();
-      rel::IndexProbe probe;
-      probe.equals = {rel::Value::String(attr)};
-      probe.upper = rel::Bound{rel::Value::String(enc), /*inclusive=*/true};
-      for (rel::RowId rid : idx->Scan(probe)) {
-        if (!filter->IsLive(rid)) continue;
-        ++stats_.interval_rows;
-        const rel::Row& row = filter->row(rid);
-        if (encloses(row, enc)) counts[row[0].int_value()]++;
-      }
-    } else {
-      filter->ForEach([&](rel::RowId, const rel::Row& row) {
-        ++stats_.interval_rows;
-        if (row[1].string_value() != attr) return;
-        if (encloses(row, enc)) counts[row[0].int_value()]++;
-      });
-    }
-  }
-  return counts;
-}
-
 Result<std::vector<RelevantRequirement>>
-PolicyStore::RelevantRequirementsDirect(const std::string& resource,
-                                        const std::string& activity,
-                                        const rel::ParamMap& spec) const {
+PolicyStore::RelevantRequirementsFilterFirst(const std::string& resource,
+                                             const std::string& activity,
+                                             const rel::ParamMap& spec) const {
   WFRM_ASSIGN_OR_RETURN(std::vector<std::string> act_ancestors,
                         org_->activities().Ancestors(activity));
   WFRM_ASSIGN_OR_RETURN(std::vector<std::string> res_ancestors,
                         org_->resources().Ancestors(resource));
-  WFRM_ASSIGN_OR_RETURN(
-      std::vector<CandidateRow> candidates,
-      CandidatePolicies(kPolicies, act_ancestors, res_ancestors));
-  WFRM_ASSIGN_OR_RETURN(auto counts, CountEnclosingIntervals(kFilter, spec));
-
-  std::vector<RelevantRequirement> out;
-  for (const CandidateRow& c : candidates) {
-    auto it = counts.find(c.pid);
-    int64_t enclosed = it == counts.end() ? 0 : it->second;
-    // Figure 15's union: all intervals enclose the specification, or the
-    // policy constrains no interval at all.
-    if (c.num_intervals == 0 || enclosed == c.num_intervals) {
-      out.push_back(RelevantRequirement{c.pid, c.group,
-                                        (*c.row)[5].string_value()});
-    }
-  }
-  std::sort(out.begin(), out.end(),
-            [](const auto& a, const auto& b) { return a.pid < b.pid; });
-  return out;
-}
-
-Result<std::string> PolicyStore::EnsureSqlShape(size_t ba, size_t br,
-                                                size_t bk) const {
-  const std::string rp = "Relevant_Policies_" + std::to_string(ba) + "x" +
-                         std::to_string(br);
-  const std::string rf = "Relevant_Filter_" + std::to_string(bk);
-  // Figure 15: the union retrieving the additional selection criteria,
-  // against this shape's views.
-  std::string fig15 = "Select " + rp + ".PID, " + rp + ".GroupID, " + rp +
-                      ".WhereClause From " + rp + ", " + rf + " Where " + rp +
-                      ".PID = " + rf + ".PID And " + rp +
-                      ".NumberOfIntervals = " + rf + ".NumberOfIntervals "
-                      "Union Select PID, GroupID, WhereClause From " + rp +
-                      " Where " + rp + ".NumberOfIntervals = 0";
-  const std::string shape_key = rp + "|" + rf;
-  {
-    std::shared_lock<std::shared_mutex> lock(mu_);
-    if (sql_shapes_.count(shape_key) > 0) return fig15;
-  }
-
-  // Figure 13: view on Policies. Ancestor() expands to an In-list (the
-  // paper: "the inclusion check can be implemented as a group of
-  // disjunctively related equality comparisons"). GroupID is carried
-  // along so enforcement can apply each source policy once. The In-lists
-  // hold `ba`/`br` parameters instead of literals, so the view is
-  // registered once per shape and every query binds fresh values.
-  auto param_list = [](const char* prefix, size_t n) {
-    std::string out = "(";
-    for (size_t i = 0; i < n; ++i) {
-      if (i > 0) out += ", ";
-      out += "[" + std::string(prefix) + std::to_string(i) + "]";
-    }
-    return out + ")";
-  };
-  std::string fig13 =
-      "Select PID, GroupID, NumberOfIntervals, WhereClause From Policies "
-      "Where Activity In " +
-      param_list("qa", ba) + " And Resource In " + param_list("qr", br);
-
-  // Figure 14: view on Filter, counting enclosing intervals per PID. One
-  // parameterized disjunct per spec-attribute slot ([fa j] names the
-  // attribute, [fv j] the encoded value).
-  std::string fig14 = "Select PID, Count(*) From Filter Where ";
-  if (bk == 0) {
-    fig14 += "1 = 0";  // No bound attribute can match any interval.
-  } else {
-    for (size_t j = 0; j < bk; ++j) {
-      const std::string a = "[fa" + std::to_string(j) + "]";
-      const std::string e = "[fv" + std::to_string(j) + "]";
-      if (j > 0) fig14 += " Or ";
-      fig14 += "(Attribute = " + a + " And (LowerBound < " + e +
-               " Or (LowerInclusive = TRUE And LowerBound = " + e +
-               ")) And (" + e + " < UpperBound Or (UpperInclusive = TRUE "
-               "And UpperBound = " + e + ")))";
-    }
-  }
-  fig14 += " Group by PID";
-
-  WFRM_ASSIGN_OR_RETURN(rel::SelectPtr fig13_stmt,
-                        rel::SqlParser::ParseSelect(fig13));
-  WFRM_ASSIGN_OR_RETURN(rel::SelectPtr fig14_stmt,
-                        rel::SqlParser::ParseSelect(fig14));
-
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  if (sql_shapes_.count(shape_key) > 0) return fig15;  // Lost the race.
-  db_.CreateOrReplaceView(
-      rp, {"PID", "GroupID", "NumberOfIntervals", "WhereClause"},
-      std::move(fig13_stmt));
-  db_.CreateOrReplaceView(rf, {"PID", "NumberOfIntervals"},
-                          std::move(fig14_stmt));
-  sql_shapes_.insert(shape_key);
-  return fig15;
-}
-
-Result<std::vector<RelevantRequirement>> PolicyStore::RelevantRequirementsSql(
-    const std::string& resource, const std::string& activity,
-    const rel::ParamMap& spec) const {
-  WFRM_ASSIGN_OR_RETURN(std::vector<std::string> act_ancestors,
-                        org_->activities().Ancestors(activity));
-  WFRM_ASSIGN_OR_RETURN(std::vector<std::string> res_ancestors,
-                        org_->resources().Ancestors(resource));
-  const size_t ba = ShapeBucket(act_ancestors.size());
-  const size_t br = ShapeBucket(res_ancestors.size());
-  const size_t bk = spec.empty() ? 0 : ShapeBucket(spec.size());
-  WFRM_ASSIGN_OR_RETURN(std::string fig15, EnsureSqlShape(ba, br, bk));
-
-  // Bind the shape's parameters; slots beyond the real list repeat the
-  // last element, which In-list/Or set semantics make a no-op.
-  rel::ParamMap params;
-  for (size_t i = 0; i < ba; ++i) {
-    params["qa" + std::to_string(i)] = rel::Value::String(
-        act_ancestors[std::min(i, act_ancestors.size() - 1)]);
-  }
-  for (size_t i = 0; i < br; ++i) {
-    params["qr" + std::to_string(i)] = rel::Value::String(
-        res_ancestors[std::min(i, res_ancestors.size() - 1)]);
-  }
-  if (bk > 0) {
-    // Sorted for a deterministic slot assignment.
-    std::vector<std::pair<std::string, std::string>> enc_spec;
-    enc_spec.reserve(spec.size());
-    for (const auto& [attr, value] : spec) {
-      WFRM_ASSIGN_OR_RETURN(std::string enc, EncodeKey(value));
-      enc_spec.emplace_back(attr, std::move(enc));
-    }
-    std::sort(enc_spec.begin(), enc_spec.end());
-    for (size_t j = 0; j < bk; ++j) {
-      const auto& [attr, enc] = enc_spec[std::min(j, enc_spec.size() - 1)];
-      params["fa" + std::to_string(j)] = rel::Value::String(attr);
-      params["fv" + std::to_string(j)] = rel::Value::String(enc);
-    }
-  }
-
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  rel::ExecOptions opts;
-  opts.use_indexes = use_indexes_;
-  rel::Executor exec(&db_, opts);
-  rel::PlanLookup outcome = rel::PlanLookup::kMiss;
-  WFRM_ASSIGN_OR_RETURN(std::shared_ptr<const rel::PreparedQuery> plan,
-                        plan_cache_.GetOrPrepare(exec, fig15, &outcome));
-  NotePlanLookup(outcome);
-  WFRM_ASSIGN_OR_RETURN(rel::ResultSet rs, exec.Execute(*plan, params));
-  stats_.candidate_rows += exec.stats().rows_scanned;
-
-  std::vector<RelevantRequirement> out;
-  out.reserve(rs.rows.size());
-  for (const rel::Row& row : rs.rows) {
-    out.push_back(RelevantRequirement{row[0].int_value(), row[1].int_value(),
-                                      row[2].string_value()});
-  }
-  std::sort(out.begin(), out.end(),
-            [](const auto& a, const auto& b) { return a.pid < b.pid; });
-  return out;
-}
-
-/// The Policies-first join order: Figure 13 candidates drive, each
-/// verified against its own Filter rows. Complexity is
-/// O(candidates · i) hash lookups instead of per-attribute range scans.
-Result<std::vector<RelevantRequirement>>
-PolicyStore::RelevantRequirementsPoliciesFirst(
-    const std::string& resource, const std::string& activity,
-    const rel::ParamMap& spec) const {
-  WFRM_ASSIGN_OR_RETURN(std::vector<std::string> act_ancestors,
-                        org_->activities().Ancestors(activity));
-  WFRM_ASSIGN_OR_RETURN(std::vector<std::string> res_ancestors,
-                        org_->resources().Ancestors(resource));
-  WFRM_ASSIGN_OR_RETURN(
-      std::vector<CandidateRow> candidates,
-      CandidatePolicies(kPolicies, act_ancestors, res_ancestors));
-
-  // Pre-encode the specification once.
-  std::unordered_map<std::string, std::string> encoded;
-  for (const auto& [attr, value] : spec) {
-    WFRM_ASSIGN_OR_RETURN(std::string enc, EncodeKey(value));
-    encoded.emplace(attr, std::move(enc));
-  }
-
-  const rel::Table* filter = db_.GetTable(kFilter);
-  const rel::HashIndex* by_pid = filter->hash_indexes()[0].get();
-
-  std::vector<RelevantRequirement> out;
-  for (const CandidateRow& c : candidates) {
-    bool all_enclose = true;
-    if (c.num_intervals > 0) {
-      if (use_indexes_) {
-        std::vector<rel::RowId> rids =
-            by_pid->Lookup({rel::Value::Int(c.pid)});
-        int64_t enclosing = 0;
-        for (rel::RowId rid : rids) {
-          if (!filter->IsLive(rid)) continue;
-          ++stats_.interval_rows;
-          const rel::Row& row = filter->row(rid);
-          auto it = encoded.find(row[1].string_value());
-          if (it == encoded.end()) continue;
-          const std::string& enc = it->second;
-          const std::string& lo = row[2].string_value();
-          const std::string& up = row[3].string_value();
-          if (enc < lo || (enc == lo && !row[4].bool_value())) continue;
-          if (up < enc || (enc == up && !row[5].bool_value())) continue;
-          ++enclosing;
-        }
-        all_enclose = enclosing == c.num_intervals;
-      } else {
-        int64_t enclosing = 0;
-        filter->ForEach([&](rel::RowId, const rel::Row& row) {
-          if (row[0].int_value() != c.pid) return;
-          ++stats_.interval_rows;
-          auto it = encoded.find(row[1].string_value());
-          if (it == encoded.end()) return;
-          const std::string& enc = it->second;
-          const std::string& lo = row[2].string_value();
-          const std::string& up = row[3].string_value();
-          if (enc < lo || (enc == lo && !row[4].bool_value())) return;
-          if (up < enc || (enc == up && !row[5].bool_value())) return;
-          ++enclosing;
-        });
-        all_enclose = enclosing == c.num_intervals;
-      }
-    }
-    if (all_enclose) {
-      out.push_back(RelevantRequirement{c.pid, c.group,
-                                        (*c.row)[5].string_value()});
-    }
-  }
-  std::sort(out.begin(), out.end(),
-            [](const auto& a, const auto& b) { return a.pid < b.pid; });
-  return out;
+  relations::ScanWork work;
+  std::vector<relations::CandidateRow> candidates =
+      CandidatePolicies(db_, kPolicies, act_ancestors, res_ancestors, &work);
+  Result<std::unordered_map<int64_t, int64_t>> counts =
+      CountEnclosingIntervals(db_, kFilter, spec, &work);
+  NoteWork(work);
+  WFRM_RETURN_NOT_OK(counts.status());
+  return MergeCandidates(candidates, *counts);
 }
 
 Result<std::shared_ptr<const CompiledPolicyTable>>
@@ -916,13 +693,11 @@ PolicyStore::BuildCompiledLocked(const std::string& resource,
                         org_->activities().Ancestors(activity));
   WFRM_ASSIGN_OR_RETURN(std::vector<std::string> res_ancestors,
                         org_->resources().Ancestors(resource));
-  WFRM_ASSIGN_OR_RETURN(
-      std::vector<CandidateRow> candidates,
-      CandidatePolicies(kPolicies, act_ancestors, res_ancestors));
+  relations::ScanWork work;
+  std::vector<relations::CandidateRow> candidates =
+      CandidatePolicies(db_, kPolicies, act_ancestors, res_ancestors, &work);
   std::sort(candidates.begin(), candidates.end(),
-            [](const CandidateRow& a, const CandidateRow& b) {
-              return a.pid < b.pid;
-            });
+            [](const auto& a, const auto& b) { return a.pid < b.pid; });
 
   auto table = std::make_shared<CompiledPolicyTable>();
   table->pids.reserve(candidates.size());
@@ -941,7 +716,7 @@ PolicyStore::BuildCompiledLocked(const std::string& resource,
   const rel::Table* filter = db_.GetTable(kFilter);
   const rel::HashIndex* by_pid = filter->hash_indexes()[0].get();
 
-  for (const CandidateRow& c : candidates) {
+  for (const relations::CandidateRow& c : candidates) {
     const uint32_t entry = static_cast<uint32_t>(table->pids.size());
     table->pids.push_back(c.pid);
     table->groups.push_back(c.group);
@@ -950,7 +725,7 @@ PolicyStore::BuildCompiledLocked(const std::string& resource,
     if (c.num_intervals == 0) continue;
     for (rel::RowId rid : by_pid->Lookup({rel::Value::Int(c.pid)})) {
       if (!filter->IsLive(rid)) continue;
-      ++stats_.interval_rows;
+      ++work.interval_rows;
       const rel::Row& row = filter->row(rid);
       by_attr[row[1].string_value()].push_back(
           IntervalRow{row[2].string_value(), row[3].string_value(),
@@ -959,6 +734,7 @@ PolicyStore::BuildCompiledLocked(const std::string& resource,
                       entry});
     }
   }
+  NoteWork(work);
 
   table->partitions.reserve(by_attr.size());
   for (auto& [attr, rows] : by_attr) {
@@ -1020,63 +796,6 @@ PolicyStore::RelevantRequirementsCompiled(const std::string& resource,
   return table->Probe(enc_spec);
 }
 
-SelectivityParams PolicyStore::EstimateParamsLocked() const {
-  SelectivityParams p;
-  p.num_activities = std::max<size_t>(2, org_->activities().size());
-  p.num_resources = std::max<size_t>(2, org_->resources().size());
-  const rel::Table* policies = db_.GetTable(kPolicies);
-  const rel::Table* filter = db_.GetTable(kFilter);
-  double n = static_cast<double>(policies->num_rows());
-  // Distinct (Activity, Resource) pairs straight off the concatenated
-  // index.
-  double pairs = static_cast<double>(
-      std::max<size_t>(1, policies->ordered_indexes()[0]->num_keys()));
-  p.c = std::max(1.0, n / pairs);
-  p.q = std::max(1.0, pairs / static_cast<double>(p.num_resources));
-  p.intervals_per_range =
-      n == 0 ? 1.0 : static_cast<double>(filter->num_rows()) / n;
-  return p;
-}
-
-SelectivityParams PolicyStore::EstimateParams() const {
-  (void)EnsureHydrated();
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  return EstimateParamsLocked();
-}
-
-bool PolicyStore::PreferPoliciesFirstLocked(size_t num_spec_attributes) const {
-  SelectivityParams p = EstimateParamsLocked();
-  const rel::Table* policies = db_.GetTable(kPolicies);
-  const rel::Table* filter = db_.GetTable(kFilter);
-  double n = static_cast<double>(policies->num_rows());
-  double f = static_cast<double>(filter->num_rows());
-  // Policies-first verifies each expected Figure 13 candidate against
-  // its i interval rows (hash lookups).
-  double cost_policies_first =
-      SelectivityPolicies(p) * n * std::max(1.0, p.intervals_per_range);
-  // Filter-first issues one (Attribute, LowerBound <= x) range probe per
-  // bound attribute; each visits about half of that attribute's
-  // partition of Filter, matched or not.
-  double attrs =
-      static_cast<double>(std::max<size_t>(1, filter_attr_counts_.size()));
-  double cost_filter_first =
-      static_cast<double>(std::max<size_t>(1, num_spec_attributes)) * f /
-      (2.0 * attrs);
-  return cost_policies_first < cost_filter_first;
-}
-
-bool PolicyStore::PreferPoliciesFirst(size_t num_spec_attributes) const {
-  (void)EnsureHydrated();
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  return PreferPoliciesFirstLocked(num_spec_attributes);
-}
-
-size_t PolicyStore::num_filter_attributes() const {
-  (void)EnsureHydrated();
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  return filter_attr_counts_.size();
-}
-
 Result<std::vector<RelevantRequirement>> PolicyStore::RelevantRequirements(
     const std::string& resource, const std::string& activity,
     const rel::ParamMap& spec) const {
@@ -1086,7 +805,7 @@ Result<std::vector<RelevantRequirement>> PolicyStore::RelevantRequirements(
                         org_->resources().Canonical(resource));
   WFRM_ASSIGN_OR_RETURN(std::string act,
                         org_->activities().Canonical(activity));
-  rel::ParamMap canonical_spec = CanonicalizeSpec(act, spec);
+  rel::ParamMap canonical_spec = relations::CanonicalizeSpec(*org_, act, spec);
 
   const bool use_cache = cache_enabled();
   std::string key;
@@ -1104,27 +823,12 @@ Result<std::vector<RelevantRequirement>> PolicyStore::RelevantRequirements(
 
   Result<std::vector<RelevantRequirement>> result =
       std::vector<RelevantRequirement>{};
-  if (retrieval_mode() == RetrievalMode::kSql) {
-    // Locks internally: shared for execution, exclusive only when a new
-    // query shape registers its views.
-    result = RelevantRequirementsSql(res, act, canonical_spec);
-  } else if (compiled_enabled()) {
+  if (compiled_enabled()) {
     // Locks internally: shared while building; probes are lock-free.
     result = RelevantRequirementsCompiled(res, act, canonical_spec);
   } else {
     std::shared_lock<std::shared_mutex> lock(mu_);
-    DirectPlan plan = direct_plan();
-    bool policies_first =
-        plan == DirectPlan::kPoliciesFirst ||
-        (plan == DirectPlan::kAdaptive &&
-         PreferPoliciesFirstLocked(canonical_spec.size()));
-    if (policies_first) {
-      ++stats_.plans_policies_first;
-      result = RelevantRequirementsPoliciesFirst(res, act, canonical_spec);
-    } else {
-      ++stats_.plans_filter_first;
-      result = RelevantRequirementsDirect(res, act, canonical_spec);
-    }
+    result = RelevantRequirementsFilterFirst(res, act, canonical_spec);
   }
   if (use_cache && result.ok() && epoch() == observed_epoch) {
     requirement_cache_.Put(key, observed_epoch, *result);
@@ -1156,11 +860,13 @@ PolicyStore::RelevantSubstitutionsLocked(const std::string& res,
     }
   }
 
-  WFRM_ASSIGN_OR_RETURN(
-      std::vector<CandidateRow> candidates,
-      CandidatePolicies(kSubstPolicies, act_ancestors, res_related));
-  WFRM_ASSIGN_OR_RETURN(auto counts,
-                        CountEnclosingIntervals(kSubstFilter, spec));
+  relations::ScanWork work;
+  std::vector<relations::CandidateRow> candidates = CandidatePolicies(
+      db_, kSubstPolicies, act_ancestors, res_related, &work);
+  Result<std::unordered_map<int64_t, int64_t>> counts =
+      CountEnclosingIntervals(db_, kSubstFilter, spec, &work);
+  NoteWork(work);
+  WFRM_RETURN_NOT_OK(counts.status());
 
   // §4.3 condition 2: the resource ranges intersect. The query side is
   // a disjunct list too, so `Where Age != 30` (which normalizes to
@@ -1170,31 +876,16 @@ PolicyStore::RelevantSubstitutionsLocked(const std::string& res,
       QueryRangesForIntersection(query_where);
 
   std::vector<RelevantSubstitution> out;
-  for (const CandidateRow& c : candidates) {
-    auto it = counts.find(c.pid);
-    int64_t enclosed = it == counts.end() ? 0 : it->second;
+  for (const relations::CandidateRow& c : candidates) {
+    auto it = counts->find(c.pid);
+    int64_t enclosed = it == counts->end() ? 0 : it->second;
     if (!(c.num_intervals == 0 || enclosed == c.num_intervals)) continue;
 
     const rel::Row& row = *c.row;
     const std::string& substituted_where = row[5].string_value();
-    if (!substituted_where.empty()) {
-      WFRM_ASSIGN_OR_RETURN(rel::ExprPtr parsed,
-                            rel::SqlParser::ParseExpr(substituted_where));
-      WFRM_ASSIGN_OR_RETURN(std::vector<ConjunctiveRange> ranges,
-                            NormalizeRangeClause(parsed.get()));
-      bool intersects = false;
-      for (const ConjunctiveRange& q : query_ranges) {
-        for (const ConjunctiveRange& r : ranges) {
-          WFRM_ASSIGN_OR_RETURN(bool x, RangesIntersect(q, r));
-          if (x) {
-            intersects = true;
-            break;
-          }
-        }
-        if (intersects) break;
-      }
-      if (!intersects) continue;
-    }
+    WFRM_ASSIGN_OR_RETURN(bool meets,
+                          RangeClauseMeets(substituted_where, query_ranges));
+    if (!meets) continue;
     out.push_back(RelevantSubstitution{
         c.pid, c.group, row[3].string_value(), substituted_where,
         row[6].string_value(), row[7].string_value()});
@@ -1213,7 +904,7 @@ Result<std::vector<RelevantSubstitution>> PolicyStore::RelevantSubstitutions(
                         org_->resources().Canonical(resource));
   WFRM_ASSIGN_OR_RETURN(std::string act,
                         org_->activities().Canonical(activity));
-  rel::ParamMap canonical_spec = CanonicalizeSpec(act, spec);
+  rel::ParamMap canonical_spec = relations::CanonicalizeSpec(*org_, act, spec);
 
   const bool use_cache = cache_enabled();
   std::string key;
@@ -1243,62 +934,6 @@ Result<std::vector<RelevantSubstitution>> PolicyStore::RelevantSubstitutions(
   return result;
 }
 
-Result<PolicyStore::ViewSelectivity> PolicyStore::MeasureViewSelectivity(
-    const std::string& resource, const std::string& activity,
-    const rel::ParamMap& spec) const {
-  WFRM_RETURN_NOT_OK(EnsureHydrated());
-  WFRM_ASSIGN_OR_RETURN(std::string res, org_->resources().Canonical(resource));
-  WFRM_ASSIGN_OR_RETURN(std::string act, org_->activities().Canonical(activity));
-  WFRM_ASSIGN_OR_RETURN(std::vector<std::string> act_anc,
-                        org_->activities().Ancestors(act));
-  WFRM_ASSIGN_OR_RETURN(std::vector<std::string> res_anc,
-                        org_->resources().Ancestors(res));
-  NameSet act_set = ToSet(act_anc);
-  NameSet res_set = ToSet(res_anc);
-
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  ViewSelectivity out;
-  const rel::Table* policies = db_.GetTable(kPolicies);
-  policies->ForEach([&](rel::RowId, const rel::Row& row) {
-    if (act_set.count(row[2].string_value()) > 0 &&
-        res_set.count(row[3].string_value()) > 0) {
-      ++out.policies_matched;
-    }
-  });
-
-  rel::ParamMap canonical = CanonicalizeSpec(act, spec);
-  std::unordered_map<std::string, std::string> encoded;
-  for (const auto& [attr, value] : canonical) {
-    WFRM_ASSIGN_OR_RETURN(std::string enc, EncodeKey(value));
-    encoded.emplace(attr, std::move(enc));
-  }
-  const rel::Table* filter = db_.GetTable(kFilter);
-  Status st = Status::OK();
-  filter->ForEach([&](rel::RowId, const rel::Row& row) {
-    auto it = encoded.find(row[1].string_value());
-    if (it == encoded.end()) return;
-    const std::string& enc = it->second;
-    const std::string& lo = row[2].string_value();
-    const std::string& up = row[3].string_value();
-    if (enc < lo || (enc == lo && !row[4].bool_value())) return;
-    if (up < enc || (enc == up && !row[5].bool_value())) return;
-    ++out.filter_matched;
-  });
-  WFRM_RETURN_NOT_OK(st);
-
-  size_t policies_total = policies->num_rows();
-  size_t filter_total = filter->num_rows();
-  out.policies_rate = policies_total == 0
-                          ? 0.0
-                          : static_cast<double>(out.policies_matched) /
-                                static_cast<double>(policies_total);
-  out.filter_rate = filter_total == 0
-                        ? 0.0
-                        : static_cast<double>(out.filter_matched) /
-                              static_cast<double>(filter_total);
-  return out;
-}
-
 Result<std::vector<PolicyStore::RequirementDiagnosis>>
 PolicyStore::DiagnoseRequirements(const std::string& resource,
                                   const std::string& activity,
@@ -1307,7 +942,7 @@ PolicyStore::DiagnoseRequirements(const std::string& resource,
   WFRM_ASSIGN_OR_RETURN(std::string res, org_->resources().Canonical(resource));
   WFRM_ASSIGN_OR_RETURN(std::string act,
                         org_->activities().Canonical(activity));
-  rel::ParamMap bindings = CanonicalizeSpec(act, spec);
+  rel::ParamMap bindings = relations::CanonicalizeSpec(*org_, act, spec);
   std::shared_lock<std::shared_mutex> lock(mu_);
   WFRM_ASSIGN_OR_RETURN(auto groups,
                         ListGroupsLocked(kPolicies, kFilter, false));
@@ -1338,14 +973,8 @@ PolicyStore::DiagnoseRequirements(const std::string& resource,
       continue;
     }
 
-    bool inside = false;
-    for (const ConjunctiveRange& range : g.range_data) {
-      WFRM_ASSIGN_OR_RETURN(bool x, RangeContainsBindings(range, bindings));
-      if (x) {
-        inside = true;
-        break;
-      }
-    }
+    WFRM_ASSIGN_OR_RETURN(bool inside,
+                          AnyRangeContains(g.range_data, bindings));
     if (!inside) {
       d.verdict = RequirementDiagnosis::Verdict::kRangeMismatch;
       // Point at the first failing attribute of the first disjunct.
@@ -1387,7 +1016,7 @@ PolicyStore::DiagnoseSubstitutions(const std::string& resource,
   WFRM_ASSIGN_OR_RETURN(std::string res, org_->resources().Canonical(resource));
   WFRM_ASSIGN_OR_RETURN(std::string act,
                         org_->activities().Canonical(activity));
-  rel::ParamMap bindings = CanonicalizeSpec(act, spec);
+  rel::ParamMap bindings = relations::CanonicalizeSpec(*org_, act, spec);
   std::vector<ConjunctiveRange> query_ranges =
       QueryRangesForIntersection(query_where);
   std::shared_lock<std::shared_mutex> lock(mu_);
@@ -1427,14 +1056,8 @@ PolicyStore::DiagnoseSubstitutions(const std::string& resource,
       continue;
     }
     // Condition 4: specification inside the activity range.
-    bool inside = false;
-    for (const ConjunctiveRange& range : g.range_data) {
-      WFRM_ASSIGN_OR_RETURN(bool x, RangeContainsBindings(range, bindings));
-      if (x) {
-        inside = true;
-        break;
-      }
-    }
+    WFRM_ASSIGN_OR_RETURN(bool inside,
+                          AnyRangeContains(g.range_data, bindings));
     if (!inside) {
       d.verdict = SubstitutionDiagnosis::Verdict::kRangeMismatch;
       d.detail = "specification outside the policy's activity range";
@@ -1442,24 +1065,8 @@ PolicyStore::DiagnoseSubstitutions(const std::string& resource,
       continue;
     }
     // Condition 2: resource ranges intersect.
-    bool intersects = true;
-    if (!g.where_clause.empty()) {
-      WFRM_ASSIGN_OR_RETURN(rel::ExprPtr parsed,
-                            rel::SqlParser::ParseExpr(g.where_clause));
-      WFRM_ASSIGN_OR_RETURN(std::vector<ConjunctiveRange> ranges,
-                            NormalizeRangeClause(parsed.get()));
-      intersects = false;
-      for (const ConjunctiveRange& q : query_ranges) {
-        for (const ConjunctiveRange& r : ranges) {
-          WFRM_ASSIGN_OR_RETURN(bool x, RangesIntersect(q, r));
-          if (x) {
-            intersects = true;
-            break;
-          }
-        }
-        if (intersects) break;
-      }
-    }
+    WFRM_ASSIGN_OR_RETURN(bool intersects,
+                          RangeClauseMeets(g.where_clause, query_ranges));
     if (!intersects) {
       d.verdict = SubstitutionDiagnosis::Verdict::kResourceRangeDisjoint;
       d.detail =
@@ -1626,26 +1233,7 @@ Status PolicyStore::ImportImage(const Image& image) {
 }
 
 Status PolicyStore::ImportImageLocked(const Image& image) {
-  struct Load {
-    const char* table;
-    const std::vector<rel::Row>* rows;
-  };
-  const Load loads[] = {{kQualifications, &image.qualifications},
-                        {kPolicies, &image.policies},
-                        {kFilter, &image.filter},
-                        {kSubstPolicies, &image.subst_policies},
-                        {kSubstFilter, &image.subst_filter}};
-  for (const Load& load : loads) {
-    rel::Table* table = db_.GetTable(load.table);
-    table->Clear();
-    for (const rel::Row& row : *load.rows) {
-      WFRM_RETURN_NOT_OK(table->Insert(row).status());
-    }
-  }
-  filter_attr_counts_.clear();
-  for (const rel::Row& row : image.filter) {
-    ++filter_attr_counts_[row[1].string_value()];
-  }
+  WFRM_RETURN_NOT_OK(relations::LoadRows(image, &db_));
   next_pid_ = image.next_pid;
   next_group_ = image.next_group;
   epoch_.store(image.epoch, std::memory_order_release);
@@ -1653,7 +1241,6 @@ Status PolicyStore::ImportImageLocked(const Image& image) {
   requirement_cache_.Clear();
   substitution_cache_.Clear();
   compiled_cache_.Clear();
-  plan_cache_.Clear();
   return Status::OK();
 }
 
@@ -1681,113 +1268,55 @@ Status PolicyStore::RemoveQualification(int64_t pid) {
   return Status::OK();
 }
 
-namespace {
-
-/// Deletes every row of `group` from the policy/filter pair; the removed
-/// rows are reported so the caller can emit checkpoint deltas.
-Status RemoveGroupFrom(rel::Table* policies, rel::Table* filter,
-                       int64_t group, std::vector<rel::Row>* removed_policies,
-                       std::vector<rel::Row>* removed_filter) {
-  std::vector<rel::RowId> policy_rids;
+Status PolicyStore::RemoveGroup(const char* policy_table,
+                                const char* filter_table, int64_t group) {
+  WFRM_RETURN_NOT_OK(EnsureHydrated());
+  std::unique_lock<std::shared_mutex> lock(mu_);
+  rel::Table* policies = db_.GetTable(policy_table);
+  rel::Table* filter = db_.GetTable(filter_table);
+  std::vector<rel::RowId> policy_rids, filter_rids;
+  std::vector<rel::Row> removed_policies, removed_filter;
   std::unordered_set<int64_t> pids;
   policies->ForEach([&](rel::RowId rid, const rel::Row& row) {
     if (row[1].int_value() == group) {
       policy_rids.push_back(rid);
+      removed_policies.push_back(row);
       pids.insert(row[0].int_value());
-      removed_policies->push_back(row);
     }
   });
   if (policy_rids.empty()) {
     return Status::NotFound("no policy group " + std::to_string(group));
   }
-  std::vector<rel::RowId> filter_rids;
   filter->ForEach([&](rel::RowId rid, const rel::Row& row) {
     if (pids.count(row[0].int_value()) > 0) {
       filter_rids.push_back(rid);
-      removed_filter->push_back(row);
+      removed_filter.push_back(row);
     }
   });
   for (rel::RowId rid : policy_rids) WFRM_RETURN_NOT_OK(policies->Delete(rid));
   for (rel::RowId rid : filter_rids) WFRM_RETURN_NOT_OK(filter->Delete(rid));
-  return Status::OK();
-}
-
-}  // namespace
-
-Status PolicyStore::RemoveRequirementGroup(int64_t group) {
-  WFRM_RETURN_NOT_OK(EnsureHydrated());
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  // Capture the interval attributes being removed to keep the adaptive
-  // planner's statistics in step.
-  rel::Table* policies = db_.GetTable(kPolicies);
-  rel::Table* filter = db_.GetTable(kFilter);
-  std::unordered_set<int64_t> pids;
-  policies->ForEach([&](rel::RowId, const rel::Row& row) {
-    if (row[1].int_value() == group) pids.insert(row[0].int_value());
-  });
-  std::vector<std::string> removed_attrs;
-  filter->ForEach([&](rel::RowId, const rel::Row& row) {
-    if (pids.count(row[0].int_value()) > 0) {
-      removed_attrs.push_back(row[1].string_value());
-    }
-  });
-  std::vector<rel::Row> removed_policies;
-  std::vector<rel::Row> removed_filter;
-  WFRM_RETURN_NOT_OK(RemoveGroupFrom(policies, filter, group,
-                                     &removed_policies, &removed_filter));
   for (const rel::Row& row : removed_policies) {
-    RecordDelta(kPolicies, /*deleted=*/true, row);
+    RecordDelta(policy_table, /*deleted=*/true, row);
   }
   for (const rel::Row& row : removed_filter) {
-    RecordDelta(kFilter, /*deleted=*/true, row);
-  }
-  for (const std::string& attr : removed_attrs) {
-    auto it = filter_attr_counts_.find(attr);
-    if (it != filter_attr_counts_.end() && --it->second == 0) {
-      filter_attr_counts_.erase(it);
-    }
+    RecordDelta(filter_table, /*deleted=*/true, row);
   }
   BumpEpoch();
   return Status::OK();
+}
+
+Status PolicyStore::RemoveRequirementGroup(int64_t group) {
+  return RemoveGroup(kPolicies, kFilter, group);
 }
 
 Status PolicyStore::RemoveSubstitutionGroup(int64_t group) {
-  WFRM_RETURN_NOT_OK(EnsureHydrated());
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  std::vector<rel::Row> removed_policies;
-  std::vector<rel::Row> removed_filter;
-  WFRM_RETURN_NOT_OK(RemoveGroupFrom(db_.GetTable(kSubstPolicies),
-                                     db_.GetTable(kSubstFilter), group,
-                                     &removed_policies, &removed_filter));
-  for (const rel::Row& row : removed_policies) {
-    RecordDelta(kSubstPolicies, /*deleted=*/true, row);
-  }
-  for (const rel::Row& row : removed_filter) {
-    RecordDelta(kSubstFilter, /*deleted=*/true, row);
-  }
-  BumpEpoch();
-  return Status::OK();
+  return RemoveGroup(kSubstPolicies, kSubstFilter, group);
 }
 
-size_t PolicyStore::num_qualification_rows() const {
+size_t PolicyStore::RowCount(const char* table) const {
   (void)EnsureHydrated();
   std::shared_lock<std::shared_mutex> lock(mu_);
-  return db_.GetTable(kQualifications)->num_rows();
-}
-size_t PolicyStore::num_requirement_rows() const {
-  (void)EnsureHydrated();
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  return db_.GetTable(kPolicies)->num_rows();
-}
-size_t PolicyStore::num_requirement_interval_rows() const {
-  (void)EnsureHydrated();
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  return db_.GetTable(kFilter)->num_rows();
-}
-size_t PolicyStore::num_substitution_rows() const {
-  (void)EnsureHydrated();
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  return db_.GetTable(kSubstPolicies)->num_rows();
+  return db_.GetTable(table)->num_rows();
 }
 
 // ---- Lazy hydration and delta tracking ------------------------------------
@@ -1898,18 +1427,12 @@ void PolicyStore::RecordDelta(std::string_view table, bool deleted,
     pending_deltas_.clear();
     return;
   }
-  PolicyRelation relation;
-  if (table == kQualifications) {
-    relation = PolicyRelation::kQualifications;
-  } else if (table == kPolicies) {
-    relation = PolicyRelation::kPolicies;
-  } else if (table == kFilter) {
-    relation = PolicyRelation::kFilter;
-  } else if (table == kSubstPolicies) {
-    relation = PolicyRelation::kSubstPolicies;
-  } else {
-    relation = PolicyRelation::kSubstFilter;
-  }
+  // The relations in PolicyRelation order.
+  constexpr std::string_view kRelations[] = {
+      kQualifications, kPolicies, kFilter, kSubstPolicies, kSubstFilter};
+  const auto relation = static_cast<PolicyRelation>(
+      std::find(std::begin(kRelations), std::end(kRelations), table) -
+      std::begin(kRelations));
   pending_deltas_.push_back(PolicyRowDelta{relation, deleted, row});
 }
 

@@ -7,7 +7,6 @@
 #include <shared_mutex>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/result.h"
@@ -17,42 +16,10 @@
 #include "policy/dnf.h"
 #include "policy/enforcement_cache.h"
 #include "policy/policy_ast.h"
-#include "policy/selectivity_model.h"
 #include "rel/database.h"
 #include "rel/executor.h"
-#include "rel/prepared.h"
 
 namespace wfrm::policy {
-
-/// How relevant-policy retrieval is executed.
-enum class RetrievalMode {
-  /// Probes the concatenated indexes directly — the "in-memory query
-  /// processor not leveraging any commercial in-disk DBMS" the paper's
-  /// §6 closing guidance anticipates.
-  kDirect,
-  /// Builds and runs the literal Figure 13/14/15 view + union SQL on the
-  /// embedded relational engine.
-  kSql,
-};
-
-/// Join order for kDirect retrieval — the execution-plan choice §6's
-/// selectivity analysis exists to inform.
-enum class DirectPlan {
-  /// Drive from Relevant_Filter (Figure 14): per-attribute interval
-  /// probes produce enclosure counts per PID, joined against the
-  /// candidate policies. Wins when the Filter view is the more
-  /// selective one (large c).
-  kFilterFirst,
-  /// Drive from Relevant_Policies (Figure 13): (Activity, Resource)
-  /// index probes produce candidates, each verified against its own
-  /// interval rows (hash lookup by PID). Wins when the Policies view is
-  /// the more selective one (small c / large q).
-  kPoliciesFirst,
-  /// Choose per query from the §6 analytic selectivities evaluated on
-  /// live catalog statistics (|A|, |R| from the hierarchies; q, c
-  /// estimated from the stored pair/row counts).
-  kAdaptive,
-};
 
 /// Raw relational image of the policy base: the exact rows of the five
 /// §5 relations plus the id counters and the store-local epoch (see
@@ -136,16 +103,11 @@ struct StoreStatsSnapshot {
   uint64_t retrievals = 0;
   uint64_t candidate_rows = 0;
   uint64_t interval_rows = 0;
-  uint64_t plans_filter_first = 0;
-  uint64_t plans_policies_first = 0;
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
   uint64_t cache_invalidations = 0;
   uint64_t rewrite_cache_hits = 0;
   uint64_t rewrite_cache_misses = 0;
-  // Prepared-plan LRU traffic (kSql retrieval).
-  uint64_t plan_cache_hits = 0;
-  uint64_t plan_cache_misses = 0;
   // Compiled policy tables (flat interval arrays for warm Enforce).
   uint64_t compiled_builds = 0;
   uint64_t compiled_probes = 0;
@@ -179,9 +141,6 @@ struct StoreStats {
   std::atomic<uint64_t> retrievals{0};
   std::atomic<uint64_t> candidate_rows{0};   // Policy rows inspected.
   std::atomic<uint64_t> interval_rows{0};    // Filter rows inspected.
-  // kDirect retrievals per join order.
-  std::atomic<uint64_t> plans_filter_first{0};
-  std::atomic<uint64_t> plans_policies_first{0};
   // Enforcement-cache traffic (retrieval-level memo tables).
   std::atomic<uint64_t> cache_hits{0};
   std::atomic<uint64_t> cache_misses{0};
@@ -191,9 +150,6 @@ struct StoreStats {
   // Rewritten-query LRU traffic (PolicyManager level).
   std::atomic<uint64_t> rewrite_cache_hits{0};
   std::atomic<uint64_t> rewrite_cache_misses{0};
-  // Prepared-plan LRU traffic (kSql retrieval).
-  std::atomic<uint64_t> plan_cache_hits{0};
-  std::atomic<uint64_t> plan_cache_misses{0};
   // Compiled policy tables: lazy builds and warm probes.
   std::atomic<uint64_t> compiled_builds{0};
   std::atomic<uint64_t> compiled_probes{0};
@@ -206,15 +162,11 @@ struct StoreStats {
     s.retrievals = retrievals.load();
     s.candidate_rows = candidate_rows.load();
     s.interval_rows = interval_rows.load();
-    s.plans_filter_first = plans_filter_first.load();
-    s.plans_policies_first = plans_policies_first.load();
     s.cache_hits = cache_hits.load();
     s.cache_misses = cache_misses.load();
     s.cache_invalidations = cache_invalidations.load();
     s.rewrite_cache_hits = rewrite_cache_hits.load();
     s.rewrite_cache_misses = rewrite_cache_misses.load();
-    s.plan_cache_hits = plan_cache_hits.load();
-    s.plan_cache_misses = plan_cache_misses.load();
     s.compiled_builds = compiled_builds.load();
     s.compiled_probes = compiled_probes.load();
     s.bloom_probes = bloom_probes.load();
@@ -226,15 +178,11 @@ struct StoreStats {
     retrievals = 0;
     candidate_rows = 0;
     interval_rows = 0;
-    plans_filter_first = 0;
-    plans_policies_first = 0;
     cache_hits = 0;
     cache_misses = 0;
     cache_invalidations = 0;
     rewrite_cache_hits = 0;
     rewrite_cache_misses = 0;
-    plan_cache_hits = 0;
-    plan_cache_misses = 0;
     compiled_builds = 0;
     compiled_probes = 0;
     bloom_probes = 0;
@@ -242,8 +190,10 @@ struct StoreStats {
   }
 };
 
-/// The policy base (paper §5): policies decomposed into relations inside
-/// an embedded in-memory database.
+/// The five §5 relations and the index probes that every requirement
+/// path shares: the store's reference plan and compiled-table build, and
+/// the paper ablations (paper_retrieval.h), which load the same rows
+/// into a database of their own.
 ///
 ///   Qualifications(PID, Resource, Activity)
 ///   Policies(PID, GroupID, Activity, Resource, NumberOfIntervals,
@@ -251,6 +201,72 @@ struct StoreStats {
 ///   Filter(PID, Attribute, LowerBound, UpperBound, LowerInclusive,
 ///          UpperInclusive)                      — one row per interval
 ///   SubstPolicies / SubstFilter                 — substitution policies
+namespace relations {
+
+inline constexpr char kQualifications[] = "Qualifications";
+inline constexpr char kPolicies[] = "Policies";
+inline constexpr char kFilter[] = "Filter";
+inline constexpr char kSubstPolicies[] = "SubstPolicies";
+inline constexpr char kSubstFilter[] = "SubstFilter";
+
+/// Creates the five relations in an empty `db` with their indexes:
+/// (Activity, Resource) on both policy tables and (Attribute,
+/// LowerBound, UpperBound) on both filter tables (§5.2), Filter by PID,
+/// and Qualifications by Activity.
+void CreatePolicyRelations(rel::Database* db);
+
+/// Replaces the rows of relations made by CreatePolicyRelations with
+/// the rows of `image` (re-validated against the schemas).
+Status LoadRows(const PolicyImage& image, rel::Database* db);
+
+/// Rows one retrieval inspected.
+struct ScanWork {
+  uint64_t candidate_rows = 0;  // Policy rows.
+  uint64_t interval_rows = 0;   // Filter rows.
+};
+
+/// A policy row that passed Figure 13's (Activity, Resource) test.
+struct CandidateRow {
+  int64_t pid;
+  int64_t group;
+  int64_t num_intervals;
+  const rel::Row* row;
+};
+
+/// Figure 13 through the concatenated index: the rows of policy table
+/// `table` whose Activity and Resource are among the given ancestors.
+std::vector<CandidateRow> CandidatePolicies(
+    const rel::Database& db, const char* table,
+    const std::vector<std::string>& activities,
+    const std::vector<std::string>& resources, ScanWork* work);
+
+/// Figure 14 through the concatenated index: per PID, how many of its
+/// `filter_table` intervals enclose the binding of their attribute in
+/// `spec` (canonical attribute names).
+Result<std::unordered_map<int64_t, int64_t>> CountEnclosingIntervals(
+    const rel::Database& db, const char* filter_table,
+    const rel::ParamMap& spec, ScanWork* work);
+
+/// True when the Filter row's interval encloses the encoded value.
+bool Encloses(const rel::Row& filter_row, const std::string& encoded);
+
+/// Figure 15's union, where both join orders end: the candidates all of
+/// whose intervals enclose the specification (`enclosing[pid]` equals
+/// NumberOfIntervals), plus those that constrain none; sorted by PID.
+std::vector<RelevantRequirement> MergeCandidates(
+    const std::vector<CandidateRow>& candidates,
+    const std::unordered_map<int64_t, int64_t>& enclosing);
+
+/// Rewrites spec keys to their declared spelling on the activity type,
+/// so lookups match stored rows exactly.
+rel::ParamMap CanonicalizeSpec(const org::OrgModel& org,
+                               const std::string& activity,
+                               const rel::ParamMap& spec);
+
+}  // namespace relations
+
+/// The policy base (paper §5): policies decomposed into the relations
+/// above, inside an embedded in-memory database.
 ///
 /// On insertion a requirement/substitution policy's With clause is
 /// normalized to DNF; each disjunct becomes its own PID row (sharing a
@@ -260,17 +276,19 @@ struct StoreStats {
 /// on (Attribute, LowerBound, UpperBound) serves every attribute type;
 /// Policies carries the §5.2 concatenated index on (Activity, Resource).
 ///
-/// Thread safety and caching: retrieval takes a shared lock — kSql mode
-/// included: the Figure 13/14 views are registered once per query shape
-/// (parameterized, bucketed by ancestor-list and spec sizes) and then
-/// served from a prepared-plan LRU, so only the first query of a new
-/// shape takes the exclusive lock — mutation an exclusive one, so
-/// concurrent read-only retrievals never serialize on each other. Every mutation — and every hierarchy edit in
-/// the backing OrgModel — bumps `epoch()`; qualification fan-out sets and
-/// relevant requirement/substitution row sets are memoized per
-/// (configuration, activity, resource, spec) tagged with the epoch they
-/// were computed at, so a repeated enforcement at an unchanged epoch is
-/// answered from the cache without touching the relations.
+/// Requirement retrieval has two paths: the compiled tables (default)
+/// and, with compiled tables off, the indexed Filter-first plan — the
+/// reference the compiled tables are tested against. The paper's other
+/// strategies live in paper_retrieval.h.
+///
+/// Thread safety and caching: retrieval takes a shared lock, mutation an
+/// exclusive one, so concurrent read-only retrievals never serialize on
+/// each other. Every mutation — and every hierarchy edit in the backing
+/// OrgModel — bumps `epoch()`; qualification fan-out sets and relevant
+/// requirement/substitution row sets are memoized per (activity,
+/// resource, spec) tagged with the epoch they were computed at, so a
+/// repeated enforcement at an unchanged epoch is answered from the cache
+/// without touching the relations.
 class PolicyStore {
  public:
   explicit PolicyStore(const org::OrgModel* org);
@@ -403,8 +421,8 @@ class PolicyStore {
 
   /// Replaces the entire policy base with `image` (rows are re-validated
   /// against the table schemas, so a corrupted snapshot fails cleanly),
-  /// rebuilds the planner statistics, restores the counters/epoch and
-  /// drops every cache entry — recovered state starts cold.
+  /// restores the counters/epoch and drops every cache entry — recovered
+  /// state starts cold.
   Status ImportImage(const Image& image);
 
   /// The store-local component of epoch() (the backing OrgModel
@@ -460,20 +478,6 @@ class PolicyStore {
 
   // ---- Introspection ------------------------------------------------------
 
-  RetrievalMode retrieval_mode() const {
-    return mode_.load(std::memory_order_relaxed);
-  }
-  void set_retrieval_mode(RetrievalMode mode) {
-    mode_.store(mode, std::memory_order_relaxed);
-  }
-
-  DirectPlan direct_plan() const {
-    return plan_.load(std::memory_order_relaxed);
-  }
-  void set_direct_plan(DirectPlan plan) {
-    plan_.store(plan, std::memory_order_relaxed);
-  }
-
   /// The enforcement epoch: bumped by every policy mutation and every
   /// hierarchy edit of the backing OrgModel. All enforcement caches tag
   /// entries with the epoch they were computed at; an entry from an
@@ -493,21 +497,17 @@ class PolicyStore {
     return cache_enabled_.load(std::memory_order_relaxed);
   }
 
-  /// Enables/disables the compiled policy tables (default on): kDirect
+  /// Enables/disables the compiled policy tables (default on): requirement
   /// retrieval on a memo miss probes a flat per-attribute interval table
   /// built lazily per (resource, activity) and cached keyed by the
-  /// mutation epoch. Disabling is the ablation baseline for benches that
-  /// measure the paper's own retrieval paths.
+  /// mutation epoch. Disabling selects the indexed Filter-first plan, the
+  /// reference the compiled tables are tested and benched against.
   void set_compiled_enabled(bool enabled) {
     compiled_enabled_.store(enabled, std::memory_order_relaxed);
   }
   bool compiled_enabled() const {
     return compiled_enabled_.load(std::memory_order_relaxed);
   }
-
-  /// The kSql prepared-plan LRU (exposed for tests: size/capacity and
-  /// the hit/miss/invalidation counters).
-  const rel::PlanCache& plan_cache() const { return plan_cache_; }
 
   /// Records a rewritten-query LRU probe in this store's counters (the
   /// LRU itself lives in PolicyManager; stats are centralized here).
@@ -521,51 +521,16 @@ class PolicyStore {
   /// sees concurrent traffic; nullptr detaches.
   void set_metrics(obs::MetricsRegistry* registry);
 
-  /// Live parameter estimates feeding the kAdaptive plan choice: |A| and
-  /// |R| from the hierarchies, distinct (Activity, Resource) pairs from
-  /// the concatenated index, q and c derived per §6's N = |R|·q·c.
-  SelectivityParams EstimateParams() const;
-
-  /// True when the §6 model predicts the Policies-first join order is
-  /// the cheaper driver for a query binding `num_spec_attributes`
-  /// activity attributes (used by the kAdaptive plan; exposed for tests
-  /// and benches). The cost model compares expected candidate
-  /// verifications (Selectivity_Policies · N · i) against expected
-  /// interval-probe work (one range probe per bound attribute, each
-  /// visiting about half of its attribute's partition of Filter).
-  bool PreferPoliciesFirst(size_t num_spec_attributes) const;
-
-  /// Distinct attributes currently carrying interval rows in Filter.
-  size_t num_filter_attributes() const;
-
-  /// Disables index usage in both modes (full scans) — the ablation
-  /// baseline for §5.2's concatenated-index recommendation.
-  void set_use_indexes(bool use) {
-    use_indexes_.store(use, std::memory_order_relaxed);
+  size_t num_qualification_rows() const {
+    return RowCount(relations::kQualifications);
   }
-  bool use_indexes() const {
-    return use_indexes_.load(std::memory_order_relaxed);
+  size_t num_requirement_rows() const { return RowCount(relations::kPolicies); }
+  size_t num_requirement_interval_rows() const {
+    return RowCount(relations::kFilter);
   }
-
-  /// Measured selectivities of the two §5.2 views for one query: the
-  /// fraction of Policies rows matched by the Figure 13 predicate and
-  /// the fraction of Filter rows matched by the Figure 14 predicate.
-  /// This is the empirical counterpart of the §6 analytical model
-  /// (bench/fig17_selectivity.cc).
-  struct ViewSelectivity {
-    double policies_rate = 0;
-    double filter_rate = 0;
-    size_t policies_matched = 0;
-    size_t filter_matched = 0;
-  };
-  Result<ViewSelectivity> MeasureViewSelectivity(
-      const std::string& resource, const std::string& activity,
-      const rel::ParamMap& spec) const;
-
-  size_t num_qualification_rows() const;
-  size_t num_requirement_rows() const;
-  size_t num_requirement_interval_rows() const;
-  size_t num_substitution_rows() const;
+  size_t num_substitution_rows() const {
+    return RowCount(relations::kSubstPolicies);
+  }
 
   const rel::Database& db() const { return db_; }
   const org::OrgModel& org() const { return *org_; }
@@ -583,13 +548,6 @@ class PolicyStore {
   void ResetStats() { stats_.Reset(); }
 
  private:
-  struct CandidateRow {
-    int64_t pid;
-    int64_t group;
-    int64_t num_intervals;
-    const rel::Row* row;
-  };
-
   Status ValidateRangeClause(const std::string& activity,
                              const rel::Expr* with) const;
   Status ValidateResourceRangeClause(const std::string& resource,
@@ -610,14 +568,8 @@ class PolicyStore {
                                    const rel::Expr* with,
                                    std::vector<rel::Value> extra_columns);
 
-  /// Rewrites spec keys to their canonical attribute spelling on the
-  /// query's activity type, so lookups match stored rows exactly.
-  rel::ParamMap CanonicalizeSpec(const std::string& activity,
-                                 const rel::ParamMap& spec) const;
-
-  /// Composite cache key prefixed with the retrieval configuration, so
-  /// plan/index ablations never share entries (work counters stay
-  /// meaningful per configuration).
+  /// Composite memo key; compiled and reference retrievals keep separate
+  /// entries, so each path's work counters stay meaningful.
   std::string RetrievalCacheKey(const char* tag, const std::string& resource,
                                 const std::string& activity,
                                 const rel::ParamMap& spec) const;
@@ -625,37 +577,13 @@ class PolicyStore {
   // The following helpers assume mu_ is held (shared suffices unless
   // noted) — they are the pre-concurrency retrieval bodies.
 
-  /// Shared candidate scan: policy rows whose Activity/Resource are in
-  /// the given ancestor sets, via concatenated index or full scan.
-  Result<std::vector<CandidateRow>> CandidatePolicies(
-      const std::string& table, const std::vector<std::string>& activities,
-      const std::vector<std::string>& resources) const;
-
-  /// Count of enclosing intervals per PID for the spec bindings, via the
-  /// filter table's concatenated index (kDirect machinery, also used for
-  /// substitution policies).
-  Result<std::unordered_map<int64_t, int64_t>> CountEnclosingIntervals(
-      const std::string& filter_table, const rel::ParamMap& spec) const;
-
   Result<std::vector<std::string>> QualifiedSubtypesLocked(
       const std::string& resource, const std::string& activity) const;
-  Result<std::vector<RelevantRequirement>> RelevantRequirementsDirect(
+  /// The indexed Filter-first plan (compiled tables off).
+  Result<std::vector<RelevantRequirement>> RelevantRequirementsFilterFirst(
       const std::string& resource, const std::string& activity,
       const rel::ParamMap& spec) const;
-  Result<std::vector<RelevantRequirement>> RelevantRequirementsPoliciesFirst(
-      const std::string& resource, const std::string& activity,
-      const rel::ParamMap& spec) const;
-  /// Manages its own locking: shared for execution; exclusive only the
-  /// first time a (bucketed) query shape registers its parameterized
-  /// Figure 13/14 views.
-  Result<std::vector<RelevantRequirement>> RelevantRequirementsSql(
-      const std::string& resource, const std::string& activity,
-      const rel::ParamMap& spec) const;
-  /// Registers the parameterized Figure 13/14 views for one shape bucket
-  /// (idempotent, double-checked) and returns the Figure 15 union text to
-  /// execute against them.
-  Result<std::string> EnsureSqlShape(size_t ba, size_t br, size_t bk) const;
-  /// Compiled fast path (kDirect + compiled_enabled): probe the flat
+  /// Compiled fast path (compiled_enabled): probe the flat
   /// interval table for (resource, activity), building it lazily on an
   /// epoch-keyed cache miss. Manages its own locking.
   Result<std::vector<RelevantRequirement>> RelevantRequirementsCompiled(
@@ -671,8 +599,11 @@ class PolicyStore {
   Result<std::vector<StoredPolicyGroup>> ListGroupsLocked(
       const std::string& policy_table, const std::string& filter_table,
       bool substitution) const;
-  SelectivityParams EstimateParamsLocked() const;
-  bool PreferPoliciesFirstLocked(size_t num_spec_attributes) const;
+  /// Removes a requirement or substitution group from its table pair.
+  Status RemoveGroup(const char* policy_table, const char* filter_table,
+                     int64_t group);
+  /// Live rows of one relation (hydrating first, best effort).
+  size_t RowCount(const char* table) const;
 
   /// Marks a completed mutation: bumps the epoch so every cached
   /// derivation from before it is invalidated. Caller holds mu_.
@@ -698,8 +629,6 @@ class PolicyStore {
     obs::Counter* rewrite_hits = nullptr;
     obs::Counter* rewrite_misses = nullptr;
     obs::Counter* rewrite_stale = nullptr;
-    obs::Counter* plan_hits = nullptr;
-    obs::Counter* plan_misses = nullptr;
     obs::Counter* compiled_builds = nullptr;
     obs::Counter* compiled_probes = nullptr;
   };
@@ -723,16 +652,9 @@ class PolicyStore {
       if (metrics_.misses != nullptr) metrics_.misses->Increment();
     }
   }
-  /// One prepared-plan LRU probe (kInvalidated counts as a miss — the
-  /// plan was re-prepared).
-  void NotePlanLookup(rel::PlanLookup outcome) const {
-    if (outcome == rel::PlanLookup::kHit) {
-      ++stats_.plan_cache_hits;
-      if (metrics_.plan_hits != nullptr) metrics_.plan_hits->Increment();
-    } else {
-      ++stats_.plan_cache_misses;
-      if (metrics_.plan_misses != nullptr) metrics_.plan_misses->Increment();
-    }
+  void NoteWork(const relations::ScanWork& work) const {
+    stats_.candidate_rows += work.candidate_rows;
+    stats_.interval_rows += work.interval_rows;
   }
   void NoteCompiledBuild() const {
     ++stats_.compiled_builds;
@@ -748,24 +670,14 @@ class PolicyStore {
   }
 
   const org::OrgModel* org_;
-  /// Mutable: the kSql path registers per-shape parameterized
-  /// Relevant_Policies/Relevant_Filter views (Figures 13/14), but only
-  /// the first time a shape is seen — steady-state kSql retrieval runs
-  /// under the shared lock.
-  mutable rel::Database db_;
-  /// Live count of Filter rows per attribute, feeding the kAdaptive cost
-  /// model. Maintained on insert/remove.
-  std::unordered_map<std::string, size_t> filter_attr_counts_;
-  std::atomic<RetrievalMode> mode_{RetrievalMode::kDirect};
-  std::atomic<DirectPlan> plan_{DirectPlan::kFilterFirst};
-  std::atomic<bool> use_indexes_{true};
+  rel::Database db_;
   int64_t next_pid_ = 100;  // The paper's examples start at PID 100.
   int64_t next_group_ = 1;
   mutable StoreStats stats_;
   RetrievalMetrics metrics_;
 
-  /// Guards db_, filter_attr_counts_, next_pid_, next_group_: shared for
-  /// retrieval, exclusive for mutation (and kSql retrieval).
+  /// Guards db_, next_pid_, next_group_: shared for retrieval, exclusive
+  /// for mutation.
   mutable std::shared_mutex mu_;
   /// Store-local component of epoch() (org_ contributes hierarchy
   /// versions).
@@ -779,11 +691,6 @@ class PolicyStore {
   /// entries are immutable and shared, so probing needs no store lock.
   mutable EpochCache<std::shared_ptr<const CompiledPolicyTable>>
       compiled_cache_;
-  /// Prepared Figure 15 plans keyed by SQL text (one per shape bucket).
-  mutable rel::PlanCache plan_cache_;
-  /// Shape buckets whose Figure 13/14 views are already registered in
-  /// db_. Guarded by mu_.
-  mutable std::unordered_set<std::string> sql_shapes_;
 
   /// Lazy hydration: durable backing and whether the in-memory tables
   /// are authoritative yet. hydrated_ defaults true (no lazy source).

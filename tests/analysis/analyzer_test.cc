@@ -68,9 +68,29 @@ TEST_F(WorkflowAnalyzerTest, DerivesPrimariesAndSubstitutionTier) {
   EXPECT_EQ(step.candidates[2].resource.ToString(), "Programmer:quinn");
   EXPECT_EQ(step.candidates[2].cost, 1);
 
-  // The temporary leases used to coax out the substitution tier are
-  // gone: nothing stays allocated.
+  // Coaxing out the substitution tier allocated nothing.
   EXPECT_EQ(rm_->num_allocated(), 0u);
+}
+
+TEST_F(WorkflowAnalyzerTest, SubstitutionTierLeavesLeaseStateUntouched) {
+  // Analysis only reads the manager: deriving the substitution tier
+  // neither grants nor releases a lease, so the id high-water mark, the
+  // allocation count and a lease held beside it are all unchanged.
+  auto held = rm_->AllocateLease({"Programmer", "pete"});
+  ASSERT_TRUE(held.ok()) << held.status().ToString();
+  const uint64_t next_id = rm_->next_lease_id();
+
+  AnalysisReport report = Analyze(ReviewScript(3), {});
+  ASSERT_EQ(report.candidates.size(), 3u);
+  bool substitute = false;
+  for (const WspCandidate& c : report.candidates[0].candidates) {
+    if (c.cost > 0) substitute = true;
+  }
+  EXPECT_TRUE(substitute) << "the substitution tier did not run";
+
+  EXPECT_EQ(rm_->next_lease_id(), next_id);
+  EXPECT_EQ(rm_->num_allocated(), 1u);
+  EXPECT_TRUE(rm_->IsLeaseActive(*held));
 }
 
 TEST_F(WorkflowAnalyzerTest, TwoPersonReviewIsSatisfiableAtCostZero) {

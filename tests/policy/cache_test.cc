@@ -106,17 +106,17 @@ TEST_F(CacheTest, RepeatedRetrievalIsServedFromTheCache) {
   }
 }
 
-// The no-stale-results guarantee, exercised under both direct plans:
-// a write between two identical retrievals must be visible in the
-// second, and the stats must record the epoch invalidation.
+// The no-stale-results guarantee, exercised under both of the store's
+// requirement paths (compiled tables and the reference plan): a write
+// between two identical retrievals must be visible in the second, and
+// the stats must record the epoch invalidation.
 TEST_F(CacheTest, WritesInvalidateCachedRetrievalsUnderBothPlans) {
   auto query = Figure4();
   const rel::ParamMap spec = query.spec.AsParams();
 
-  for (DirectPlan plan :
-       {DirectPlan::kFilterFirst, DirectPlan::kPoliciesFirst}) {
-    SCOPED_TRACE(static_cast<int>(plan));
-    store_->set_direct_plan(plan);
+  for (bool compiled : {true, false}) {
+    SCOPED_TRACE(compiled);
+    store_->set_compiled_enabled(compiled);
 
     auto warm = store_->RelevantRequirements("Programmer", "Programming", spec);
     ASSERT_TRUE(warm.ok());

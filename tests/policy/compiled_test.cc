@@ -4,6 +4,7 @@
 #include <thread>
 #include <vector>
 
+#include "policy/paper_retrieval.h"
 #include "policy/policy_store.h"
 #include "policy/synthetic.h"
 #include "testutil/paper_org.h"
@@ -12,6 +13,7 @@ namespace wfrm::policy {
 namespace {
 
 using rel::Value;
+using Strategy = PaperRetrievalOptions::Strategy;
 
 /// The compiled flat-interval tables must be extensionally equal to the
 /// paper's own retrieval paths, and must never serve stale results
@@ -35,7 +37,6 @@ class CompiledTest : public ::testing::Test {
 };
 
 TEST_F(CompiledTest, CompiledMatchesFigure11) {
-  store_->set_retrieval_mode(RetrievalMode::kDirect);
   store_->set_compiled_enabled(true);
   store_->set_cache_enabled(false);
 
@@ -52,7 +53,6 @@ TEST_F(CompiledTest, CompiledMatchesFigure11) {
 }
 
 TEST_F(CompiledTest, WarmProbeReusesTheTable) {
-  store_->set_retrieval_mode(RetrievalMode::kDirect);
   store_->set_compiled_enabled(true);
   store_->set_cache_enabled(false);  // Isolate the compiled-table cache.
 
@@ -72,7 +72,6 @@ TEST_F(CompiledTest, WarmProbeReusesTheTable) {
 }
 
 TEST_F(CompiledTest, EpochBumpInvalidatesMidStream) {
-  store_->set_retrieval_mode(RetrievalMode::kDirect);
   store_->set_compiled_enabled(true);
   store_->set_cache_enabled(false);
 
@@ -103,7 +102,6 @@ TEST_F(CompiledTest, EpochBumpInvalidatesMidStream) {
 }
 
 TEST_F(CompiledTest, HierarchyEditAlsoInvalidates) {
-  store_->set_retrieval_mode(RetrievalMode::kDirect);
   store_->set_compiled_enabled(true);
   store_->set_cache_enabled(false);
 
@@ -125,27 +123,23 @@ TEST_F(CompiledTest, HierarchyEditAlsoInvalidates) {
 }
 
 TEST_F(CompiledTest, PlanCacheCountersSurfaceInSnapshot) {
-  store_->set_retrieval_mode(RetrievalMode::kSql);
-  store_->set_cache_enabled(false);
+  PaperRetrieval sql(*store_, {Strategy::kSql});
 
-  ASSERT_TRUE(store_
-                  ->RelevantRequirements("Programmer", "Programming",
-                                         ProgrammingSpec(35000, "Mexico"))
+  ASSERT_TRUE(sql.RelevantRequirements("Programmer", "Programming",
+                                       ProgrammingSpec(35000, "Mexico"))
                   .ok());
-  StoreStatsSnapshot snap = store_->StatsSnapshot();
+  PaperRetrievalStats snap = sql.stats();
   EXPECT_GE(snap.plan_cache_misses, 1u);
 
-  ASSERT_TRUE(store_
-                  ->RelevantRequirements("Programmer", "Programming",
-                                         ProgrammingSpec(200, "PA"))
+  ASSERT_TRUE(sql.RelevantRequirements("Programmer", "Programming",
+                                       ProgrammingSpec(200, "PA"))
                   .ok());
-  snap = store_->StatsSnapshot();
+  snap = sql.stats();
   EXPECT_GE(snap.plan_cache_hits, 1u);
-  EXPECT_GE(store_->plan_cache().size(), 1u);
+  EXPECT_GE(sql.plan_cache().size(), 1u);
 }
 
 TEST_F(CompiledTest, AblationSwitchFallsBackToDirectPlans) {
-  store_->set_retrieval_mode(RetrievalMode::kDirect);
   store_->set_compiled_enabled(false);
   store_->set_cache_enabled(false);
 
@@ -158,8 +152,10 @@ TEST_F(CompiledTest, AblationSwitchFallsBackToDirectPlans) {
 }
 
 TEST(CompiledEquivalenceTest, AllRetrievalPathsAgreeOnRandomBases) {
-  // Property: compiled tables, both direct join orders, and the
-  // Figure 13/14/15 SQL are extensionally equal on random policy bases.
+  // Property: the store's compiled tables and reference plan, and every
+  // paper ablation (both join orders, the adaptive planner and the
+  // Figure 13/14/15 SQL, each with indexes on and off) are equal row for
+  // row on random policy bases.
   SyntheticConfig config;
   config.num_activities = 15;
   config.num_resources = 15;
@@ -172,6 +168,15 @@ TEST(CompiledEquivalenceTest, AllRetrievalPathsAgreeOnRandomBases) {
   PolicyStore& store = (*w)->store();
   store.set_cache_enabled(false);
 
+  std::vector<std::unique_ptr<PaperRetrieval>> ablations;
+  for (Strategy strategy : {Strategy::kFilterFirst, Strategy::kPoliciesFirst,
+                            Strategy::kAdaptive, Strategy::kSql}) {
+    for (bool use_indexes : {true, false}) {
+      ablations.push_back(std::make_unique<PaperRetrieval>(
+          store, PaperRetrievalOptions{strategy, use_indexes}));
+    }
+  }
+
   std::mt19937 rng(17);
   for (int trial = 0; trial < 40; ++trial) {
     auto query = (*w)->RandomQuery(rng);
@@ -180,44 +185,37 @@ TEST(CompiledEquivalenceTest, AllRetrievalPathsAgreeOnRandomBases) {
     const std::string& res = query->resource();
     const std::string& act = query->activity();
 
-    store.set_retrieval_mode(RetrievalMode::kDirect);
     store.set_compiled_enabled(true);
     auto compiled = store.RelevantRequirements(res, act, spec);
     ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
 
     store.set_compiled_enabled(false);
-    store.set_direct_plan(DirectPlan::kFilterFirst);
-    auto filter_first = store.RelevantRequirements(res, act, spec);
-    ASSERT_TRUE(filter_first.ok());
+    std::vector<std::vector<RelevantRequirement>> others;
+    auto reference = store.RelevantRequirements(res, act, spec);
+    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+    others.push_back(*std::move(reference));
+    for (const auto& ablation : ablations) {
+      auto rows = ablation->RelevantRequirements(res, act, spec);
+      ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+      others.push_back(*std::move(rows));
+    }
 
-    store.set_direct_plan(DirectPlan::kPoliciesFirst);
-    auto policies_first = store.RelevantRequirements(res, act, spec);
-    ASSERT_TRUE(policies_first.ok());
-
-    store.set_retrieval_mode(RetrievalMode::kSql);
-    auto sql = store.RelevantRequirements(res, act, spec);
-    ASSERT_TRUE(sql.ok());
-
-    store.set_retrieval_mode(RetrievalMode::kDirect);
-    store.set_direct_plan(DirectPlan::kAdaptive);
-    store.set_compiled_enabled(true);
-
-    ASSERT_EQ(compiled->size(), filter_first->size()) << "trial " << trial;
-    ASSERT_EQ(compiled->size(), policies_first->size()) << "trial " << trial;
-    ASSERT_EQ(compiled->size(), sql->size()) << "trial " << trial;
-    for (size_t i = 0; i < compiled->size(); ++i) {
-      EXPECT_EQ((*compiled)[i].pid, (*filter_first)[i].pid);
-      EXPECT_EQ((*compiled)[i].pid, (*policies_first)[i].pid);
-      EXPECT_EQ((*compiled)[i].pid, (*sql)[i].pid);
-      EXPECT_EQ((*compiled)[i].where_clause, (*sql)[i].where_clause);
-      EXPECT_EQ((*compiled)[i].group, (*sql)[i].group);
+    for (size_t k = 0; k < others.size(); ++k) {
+      SCOPED_TRACE(k == 0 ? std::string("reference plan")
+                          : "ablation " + std::to_string(k - 1));
+      ASSERT_EQ(compiled->size(), others[k].size()) << "trial " << trial;
+      for (size_t i = 0; i < compiled->size(); ++i) {
+        EXPECT_EQ((*compiled)[i].pid, others[k][i].pid);
+        EXPECT_EQ((*compiled)[i].where_clause, others[k][i].where_clause);
+        EXPECT_EQ((*compiled)[i].group, others[k][i].group);
+      }
     }
   }
 }
 
 TEST(CompiledConcurrencyTest, ParallelSqlRetrievalsShareOnePlan) {
-  // The kSql path holds only a shared lock per query; concurrent
-  // retrievals must neither race nor diverge.
+  // The SQL ablation holds only a shared lock per query once its views
+  // are registered; concurrent retrievals must neither race nor diverge.
   SyntheticConfig config;
   config.num_activities = 7;
   config.num_resources = 7;
@@ -226,16 +224,14 @@ TEST(CompiledConcurrencyTest, ParallelSqlRetrievalsShareOnePlan) {
   config.seed = 11;
   auto w = SyntheticWorkload::Build(config);
   ASSERT_TRUE(w.ok());
-  PolicyStore& store = (*w)->store();
-  store.set_retrieval_mode(RetrievalMode::kSql);
-  store.set_cache_enabled(false);
+  PaperRetrieval sql((*w)->store(), {Strategy::kSql});
 
   std::mt19937 rng(3);
   auto query = (*w)->RandomQuery(rng);
   ASSERT_TRUE(query.ok());
   rel::ParamMap spec = query->spec.AsParams();
-  auto expect = store.RelevantRequirements(query->resource(),
-                                           query->activity(), spec);
+  auto expect =
+      sql.RelevantRequirements(query->resource(), query->activity(), spec);
   ASSERT_TRUE(expect.ok());
 
   std::vector<std::thread> threads;
@@ -243,8 +239,8 @@ TEST(CompiledConcurrencyTest, ParallelSqlRetrievalsShareOnePlan) {
   for (int t = 0; t < 8; ++t) {
     threads.emplace_back([&] {
       for (int i = 0; i < 50; ++i) {
-        auto got = store.RelevantRequirements(query->resource(),
-                                              query->activity(), spec);
+        auto got = sql.RelevantRequirements(query->resource(),
+                                            query->activity(), spec);
         if (!got.ok() || got->size() != expect->size()) {
           ++mismatches;
           continue;
@@ -258,8 +254,7 @@ TEST(CompiledConcurrencyTest, ParallelSqlRetrievalsShareOnePlan) {
   for (auto& t : threads) t.join();
   EXPECT_EQ(mismatches.load(), 0);
   // One prepared plan served all 400 retrievals after the first miss.
-  const StoreStatsSnapshot snap = store.StatsSnapshot();
-  EXPECT_GE(snap.plan_cache_hits, 400u);
+  EXPECT_GE(sql.stats().plan_cache_hits, 400u);
 }
 
 }  // namespace

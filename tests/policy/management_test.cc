@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "policy/paper_retrieval.h"
 #include "policy/policy_store.h"
 #include "rql/rql.h"
 #include "testutil/paper_org.h"
@@ -120,19 +121,22 @@ TEST_F(ManagementTest, RemoveSubstitutionGroupDisablesFallback) {
 }
 
 TEST_F(ManagementTest, RemovalKeepsIndexedRetrievalConsistent) {
-  // After removal, indexed and scan retrieval still agree.
+  // After removal, indexed and scan retrieval still agree. Both
+  // ablations load before the removal and must reload after it.
+  PaperRetrieval index_probes(*store_);
+  PaperRetrieval full_scans(
+      *store_, {PaperRetrievalOptions::Strategy::kFilterFirst,
+                /*use_indexes=*/false});
   auto reqs = store_->ListRequirements();
   ASSERT_TRUE(reqs.ok());
   ASSERT_TRUE(store_->RemoveRequirementGroup((*reqs)[1].group).ok());
 
   rel::ParamMap spec = {{"NumberOfLines", rel::Value::Int(35000)},
                         {"Location", rel::Value::String("Mexico")}};
-  store_->set_use_indexes(true);
   auto indexed =
-      store_->RelevantRequirements("Programmer", "Programming", spec);
-  store_->set_use_indexes(false);
+      index_probes.RelevantRequirements("Programmer", "Programming", spec);
   auto scanned =
-      store_->RelevantRequirements("Programmer", "Programming", spec);
+      full_scans.RelevantRequirements("Programmer", "Programming", spec);
   ASSERT_TRUE(indexed.ok());
   ASSERT_TRUE(scanned.ok());
   ASSERT_EQ(indexed->size(), scanned->size());

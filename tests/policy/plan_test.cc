@@ -1,15 +1,18 @@
-// Tests for the §6-informed execution-plan choice: the two direct join
-// orders are extensionally equal, and the adaptive planner picks the
-// cheaper driver on the Figure 17 extremes.
+// Tests for the §6-informed execution-plan choice in the paper ablations:
+// the two join orders are extensionally equal, and the adaptive planner
+// picks the cheaper join order on the Figure 17 extremes.
 
 #include <gtest/gtest.h>
 
 #include <random>
 
+#include "policy/paper_retrieval.h"
 #include "policy/synthetic.h"
 
 namespace wfrm::policy {
 namespace {
+
+using Strategy = PaperRetrievalOptions::Strategy;
 
 std::unique_ptr<SyntheticWorkload> Build(size_t q, size_t c, uint64_t seed,
                                          bool general_placement = true) {
@@ -22,9 +25,6 @@ std::unique_ptr<SyntheticWorkload> Build(size_t q, size_t c, uint64_t seed,
   config.general_activity_placement = general_placement;
   auto w = SyntheticWorkload::Build(config);
   EXPECT_TRUE(w.ok()) << w.status().ToString();
-  // These tests target the direct join orders; the compiled-table fast
-  // path would short-circuit them (it has its own tests).
-  if (w.ok()) (*w)->store().set_compiled_enabled(false);
   return std::move(w).ValueOrDie();
 }
 
@@ -37,12 +37,11 @@ TEST(PlanTest, JoinOrdersAreExtensionallyEqual) {
     rel::ParamMap spec = query->spec.AsParams();
 
     std::vector<std::vector<RelevantRequirement>> results;
-    for (DirectPlan plan : {DirectPlan::kFilterFirst,
-                            DirectPlan::kPoliciesFirst,
-                            DirectPlan::kAdaptive}) {
-      w->store().set_direct_plan(plan);
-      auto r = w->store().RelevantRequirements(query->resource(),
-                                               query->activity(), spec);
+    for (Strategy plan : {Strategy::kFilterFirst, Strategy::kPoliciesFirst,
+                          Strategy::kAdaptive}) {
+      PaperRetrieval ablation(w->store(), {plan});
+      auto r = ablation.RelevantRequirements(query->resource(),
+                                             query->activity(), spec);
       ASSERT_TRUE(r.ok()) << r.status().ToString();
       results.push_back(std::move(r).ValueOrDie());
     }
@@ -58,19 +57,18 @@ TEST(PlanTest, JoinOrdersAreExtensionallyEqual) {
 
 TEST(PlanTest, PoliciesFirstScanPathAgreesToo) {
   auto w = Build(4, 4, 77);
-  w->store().set_direct_plan(DirectPlan::kPoliciesFirst);
+  PaperRetrieval indexed_pf(w->store(), {Strategy::kPoliciesFirst});
+  PaperRetrieval scanned_pf(w->store(), {Strategy::kPoliciesFirst,
+                                         /*use_indexes=*/false});
   std::mt19937 rng(5);
   for (int trial = 0; trial < 20; ++trial) {
     auto query = w->RandomQuery(rng);
     ASSERT_TRUE(query.ok());
     rel::ParamMap spec = query->spec.AsParams();
-    w->store().set_use_indexes(true);
-    auto indexed = w->store().RelevantRequirements(query->resource(),
+    auto indexed = indexed_pf.RelevantRequirements(query->resource(),
                                                    query->activity(), spec);
-    w->store().set_use_indexes(false);
-    auto scanned = w->store().RelevantRequirements(query->resource(),
+    auto scanned = scanned_pf.RelevantRequirements(query->resource(),
                                                    query->activity(), spec);
-    w->store().set_use_indexes(true);
     ASSERT_TRUE(indexed.ok() && scanned.ok());
     ASSERT_EQ(indexed->size(), scanned->size());
     for (size_t i = 0; i < indexed->size(); ++i) {
@@ -81,7 +79,7 @@ TEST(PlanTest, PoliciesFirstScanPathAgreesToo) {
 
 TEST(PlanTest, EstimateParamsTracksStoreContents) {
   auto w = Build(8, 4, 1);
-  SelectivityParams p = w->store().EstimateParams();
+  SelectivityParams p = PaperRetrieval(w->store()).EstimateParams();
   EXPECT_EQ(p.num_activities, 64u);
   EXPECT_EQ(p.num_resources, 64u);
   // Each resource partners with q activities; pairs = |R|·q; c = N/pairs.
@@ -95,19 +93,18 @@ TEST(PlanTest, AdaptivePrefersPoliciesFirstAtLowFragmentation) {
   // c = 1, q = 64: the Figure 17 left edge, where Relevant_Policies is
   // the more selective view.
   auto w = Build(64, 1, 2);
-  EXPECT_TRUE(w->store().PreferPoliciesFirst(7));
+  PaperRetrieval adaptive(w->store(), {Strategy::kAdaptive});
+  EXPECT_TRUE(adaptive.PreferPoliciesFirst(7));
 
-  w->store().set_direct_plan(DirectPlan::kAdaptive);
-  w->store().ResetStats();
   std::mt19937 rng(6);
   auto query = w->RandomQuery(rng);
   ASSERT_TRUE(query.ok());
-  ASSERT_TRUE(w->store()
+  ASSERT_TRUE(adaptive
                   .RelevantRequirements(query->resource(), query->activity(),
                                         query->spec.AsParams())
                   .ok());
-  EXPECT_EQ(w->store().stats().plans_policies_first, 1u);
-  EXPECT_EQ(w->store().stats().plans_filter_first, 0u);
+  EXPECT_EQ(adaptive.stats().plans_policies_first, 1u);
+  EXPECT_EQ(adaptive.stats().plans_filter_first, 0u);
 }
 
 TEST(PlanTest, AdaptivePrefersFilterFirstAtHighFragmentation) {
@@ -115,19 +112,18 @@ TEST(PlanTest, AdaptivePrefersFilterFirstAtHighFragmentation) {
   // placement): many candidate rows per ancestor pair but interval rows
   // spread over many attribute partitions — Relevant_Filter dominates.
   auto w = Build(1, 64, 3, /*general_placement=*/false);
-  EXPECT_FALSE(w->store().PreferPoliciesFirst(7));
+  PaperRetrieval adaptive(w->store(), {Strategy::kAdaptive});
+  EXPECT_FALSE(adaptive.PreferPoliciesFirst(7));
 
-  w->store().set_direct_plan(DirectPlan::kAdaptive);
-  w->store().ResetStats();
   std::mt19937 rng(7);
   auto query = w->RandomQuery(rng);
   ASSERT_TRUE(query.ok());
-  ASSERT_TRUE(w->store()
+  ASSERT_TRUE(adaptive
                   .RelevantRequirements(query->resource(), query->activity(),
                                         query->spec.AsParams())
                   .ok());
-  EXPECT_EQ(w->store().stats().plans_filter_first, 1u);
-  EXPECT_EQ(w->store().stats().plans_policies_first, 0u);
+  EXPECT_EQ(adaptive.stats().plans_filter_first, 1u);
+  EXPECT_EQ(adaptive.stats().plans_policies_first, 0u);
 }
 
 TEST(PlanTest, PlanCountersTrackExplicitChoices) {
@@ -137,19 +133,21 @@ TEST(PlanTest, PlanCountersTrackExplicitChoices) {
   ASSERT_TRUE(query.ok());
   rel::ParamMap spec = query->spec.AsParams();
 
-  w->store().ResetStats();
-  w->store().set_direct_plan(DirectPlan::kFilterFirst);
-  ASSERT_TRUE(w->store()
+  // One ablation per explicit choice; each counts only its own plan.
+  PaperRetrieval filter_first(w->store(), {Strategy::kFilterFirst});
+  PaperRetrieval policies_first(w->store(), {Strategy::kPoliciesFirst});
+  ASSERT_TRUE(filter_first
                   .RelevantRequirements(query->resource(), query->activity(),
                                         spec)
                   .ok());
-  w->store().set_direct_plan(DirectPlan::kPoliciesFirst);
-  ASSERT_TRUE(w->store()
+  ASSERT_TRUE(policies_first
                   .RelevantRequirements(query->resource(), query->activity(),
                                         spec)
                   .ok());
-  EXPECT_EQ(w->store().stats().plans_filter_first, 1u);
-  EXPECT_EQ(w->store().stats().plans_policies_first, 1u);
+  EXPECT_EQ(filter_first.stats().plans_filter_first, 1u);
+  EXPECT_EQ(policies_first.stats().plans_policies_first, 1u);
+  EXPECT_EQ(filter_first.stats().plans_policies_first, 0u);
+  EXPECT_EQ(policies_first.stats().plans_filter_first, 0u);
 }
 
 TEST(PlanTest, WorkCountersReflectDriverChoice) {
@@ -163,21 +161,19 @@ TEST(PlanTest, WorkCountersReflectDriverChoice) {
     ASSERT_TRUE(query.ok());
     rel::ParamMap spec = query->spec.AsParams();
 
-    w->store().set_direct_plan(DirectPlan::kFilterFirst);
-    w->store().ResetStats();
-    ASSERT_TRUE(w->store()
+    PaperRetrieval filter_first(w->store(), {Strategy::kFilterFirst});
+    ASSERT_TRUE(filter_first
                     .RelevantRequirements(query->resource(),
                                           query->activity(), spec)
                     .ok());
-    uint64_t filter_first_work = w->store().stats().interval_rows;
+    uint64_t filter_first_work = filter_first.stats().interval_rows;
 
-    w->store().set_direct_plan(DirectPlan::kPoliciesFirst);
-    w->store().ResetStats();
-    ASSERT_TRUE(w->store()
+    PaperRetrieval policies_first(w->store(), {Strategy::kPoliciesFirst});
+    ASSERT_TRUE(policies_first
                     .RelevantRequirements(query->resource(),
                                           query->activity(), spec)
                     .ok());
-    uint64_t policies_first_work = w->store().stats().interval_rows;
+    uint64_t policies_first_work = policies_first.stats().interval_rows;
 
     // With few candidates (q = 1), verifying per candidate beats the
     // per-attribute range scans only if candidates are few — here

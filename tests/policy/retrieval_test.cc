@@ -4,24 +4,38 @@
 #include <set>
 
 #include "policy/naive_store.h"
-#include "rql/rql.h"
+#include "policy/paper_retrieval.h"
 #include "policy/policy_store.h"
 #include "policy/synthetic.h"
+#include "rql/rql.h"
 #include "testutil/paper_org.h"
 
 namespace wfrm::policy {
 namespace {
 
 using rel::Value;
+using Strategy = PaperRetrievalOptions::Strategy;
 
-class RetrievalTest : public ::testing::TestWithParam<RetrievalMode> {
+/// Who answers requirement retrieval: the serving store, or the Figure
+/// 13/14/15 SQL ablation loaded from it. Qualification and substitution
+/// always come from the store; under kSql they run with the ablation's
+/// views already registered beside it, which must not disturb it.
+enum class Path { kStore, kSql };
+
+class RetrievalTest : public ::testing::TestWithParam<Path> {
  protected:
   void SetUp() override {
     auto world = testutil::BuildPaperWorld();
     ASSERT_TRUE(world.ok()) << world.status().ToString();
     org_ = std::move(world->org);
     store_ = std::move(world->store);
-    store_->set_retrieval_mode(GetParam());
+    if (GetParam() == Path::kSql) {
+      sql_ = std::make_unique<PaperRetrieval>(
+          *store_, PaperRetrievalOptions{Strategy::kSql});
+      ASSERT_TRUE(sql_->RelevantRequirements("Programmer", "Programming",
+                                             ProgrammingSpec(1, "PA"))
+                      .ok());
+    }
   }
 
   rel::ParamMap ProgrammingSpec(int64_t lines, const std::string& loc) {
@@ -29,17 +43,23 @@ class RetrievalTest : public ::testing::TestWithParam<RetrievalMode> {
             {"Location", Value::String(loc)}};
   }
 
+  Result<std::vector<RelevantRequirement>> Relevant(
+      const std::string& resource, const std::string& activity,
+      const rel::ParamMap& spec) {
+    return sql_ != nullptr
+               ? sql_->RelevantRequirements(resource, activity, spec)
+               : store_->RelevantRequirements(resource, activity, spec);
+  }
+
   std::unique_ptr<org::OrgModel> org_;
   std::unique_ptr<PolicyStore> store_;
+  std::unique_ptr<PaperRetrieval> sql_;
 };
 
 INSTANTIATE_TEST_SUITE_P(Modes, RetrievalTest,
-                         ::testing::Values(RetrievalMode::kDirect,
-                                           RetrievalMode::kSql),
+                         ::testing::Values(Path::kStore, Path::kSql),
                          [](const auto& info) {
-                           return info.param == RetrievalMode::kDirect
-                                      ? "Direct"
-                                      : "Sql";
+                           return info.param == Path::kStore ? "Direct" : "Sql";
                          });
 
 TEST_P(RetrievalTest, QualifiedSubtypesFigure10) {
@@ -77,8 +97,8 @@ TEST_P(RetrievalTest, QualifiedSubtypesClosedWorldAssumption) {
 
 TEST_P(RetrievalTest, RelevantRequirementsFigure11) {
   // The Figure 10 query: Programmer for Programming(35000, Mexico).
-  auto relevant = store_->RelevantRequirements(
-      "Programmer", "Programming", ProgrammingSpec(35000, "Mexico"));
+  auto relevant = Relevant("Programmer", "Programming",
+                           ProgrammingSpec(35000, "Mexico"));
   ASSERT_TRUE(relevant.ok()) << relevant.status().ToString();
   ASSERT_EQ(relevant->size(), 2u);
   EXPECT_EQ((*relevant)[0].where_clause, "Experience > 5");
@@ -88,21 +108,20 @@ TEST_P(RetrievalTest, RelevantRequirementsFigure11) {
 TEST_P(RetrievalTest, RangeBoundaryExcludesOutOfRangeSpecs) {
   // NumberOfLines = 10000 is NOT > 10000, so only the Spanish policy
   // (Location = Mexico) applies.
-  auto at_bound = store_->RelevantRequirements(
-      "Programmer", "Programming", ProgrammingSpec(10000, "Mexico"));
+  auto at_bound = Relevant("Programmer", "Programming",
+                           ProgrammingSpec(10000, "Mexico"));
   ASSERT_TRUE(at_bound.ok());
   ASSERT_EQ(at_bound->size(), 1u);
   EXPECT_EQ((*at_bound)[0].where_clause, "Language = 'Spanish'");
 
   // 10001 is back inside.
-  auto inside = store_->RelevantRequirements(
-      "Programmer", "Programming", ProgrammingSpec(10001, "Mexico"));
+  auto inside = Relevant("Programmer", "Programming",
+                         ProgrammingSpec(10001, "Mexico"));
   ASSERT_TRUE(inside.ok());
   EXPECT_EQ(inside->size(), 2u);
 
   // Location other than Mexico drops the language policy.
-  auto pa = store_->RelevantRequirements("Programmer", "Programming",
-                                         ProgrammingSpec(35000, "PA"));
+  auto pa = Relevant("Programmer", "Programming", ProgrammingSpec(35000, "PA"));
   ASSERT_TRUE(pa.ok());
   ASSERT_EQ(pa->size(), 1u);
   EXPECT_EQ((*pa)[0].where_clause, "Experience > 5");
@@ -111,8 +130,8 @@ TEST_P(RetrievalTest, RangeBoundaryExcludesOutOfRangeSpecs) {
 TEST_P(RetrievalTest, ResourceTypeScopesRelevance) {
   // An Analyst is not a Programmer: only the Employee-level policy
   // applies to it.
-  auto relevant = store_->RelevantRequirements(
-      "Analyst", "Programming", ProgrammingSpec(35000, "Mexico"));
+  auto relevant = Relevant("Analyst", "Programming",
+                           ProgrammingSpec(35000, "Mexico"));
   ASSERT_TRUE(relevant.ok());
   ASSERT_EQ(relevant->size(), 1u);
   EXPECT_EQ((*relevant)[0].where_clause, "Language = 'Spanish'");
@@ -124,8 +143,7 @@ TEST_P(RetrievalTest, ActivityTypeScopesRelevance) {
   rel::ParamMap small = {{"Amount", Value::Int(500)},
                          {"Requester", Value::String("alice")},
                          {"Location", Value::String("PA")}};
-  auto relevant =
-      store_->RelevantRequirements("Manager", "Approval", small);
+  auto relevant = Relevant("Manager", "Approval", small);
   ASSERT_TRUE(relevant.ok());
   ASSERT_EQ(relevant->size(), 1u);
   EXPECT_NE((*relevant)[0].where_clause.find("Emp = [Requester])"),
@@ -134,8 +152,7 @@ TEST_P(RetrievalTest, ActivityTypeScopesRelevance) {
   rel::ParamMap medium = {{"Amount", Value::Int(2500)},
                           {"Requester", Value::String("alice")},
                           {"Location", Value::String("PA")}};
-  auto relevant2 =
-      store_->RelevantRequirements("Manager", "Approval", medium);
+  auto relevant2 = Relevant("Manager", "Approval", medium);
   ASSERT_TRUE(relevant2.ok());
   ASSERT_EQ(relevant2->size(), 1u);
   EXPECT_NE((*relevant2)[0].where_clause.find("Connect By"),
@@ -145,8 +162,7 @@ TEST_P(RetrievalTest, ActivityTypeScopesRelevance) {
   rel::ParamMap large = {{"Amount", Value::Int(10000)},
                          {"Requester", Value::String("alice")},
                          {"Location", Value::String("PA")}};
-  auto relevant3 =
-      store_->RelevantRequirements("Manager", "Approval", large);
+  auto relevant3 = Relevant("Manager", "Approval", large);
   ASSERT_TRUE(relevant3.ok());
   EXPECT_TRUE(relevant3->empty());
 }
@@ -158,8 +174,8 @@ TEST_P(RetrievalTest, ZeroIntervalPoliciesAlwaysRelevant) {
                       *ParsePolicy("Require Employee Where Experience >= 0 "
                                    "For Activity")))
                   .ok());
-  auto relevant = store_->RelevantRequirements(
-      "Programmer", "Programming", ProgrammingSpec(1, "PA"));
+  auto relevant = Relevant("Programmer", "Programming",
+                           ProgrammingSpec(1, "PA"));
   ASSERT_TRUE(relevant.ok());
   ASSERT_EQ(relevant->size(), 1u);
   EXPECT_EQ((*relevant)[0].where_clause, "Experience >= 0");
@@ -175,7 +191,7 @@ TEST_P(RetrievalTest, DisjunctiveGroupMatchesEitherDisjunct) {
     rel::ParamMap spec = {{"Amount", Value::Int(amount)},
                           {"Requester", Value::String("x")},
                           {"Location", Value::String("PA")}};
-    auto relevant = store_->RelevantRequirements("Manager", "Approval", spec);
+    auto relevant = Relevant("Manager", "Approval", spec);
     ASSERT_TRUE(relevant.ok());
     bool found = false;
     for (const auto& r : *relevant) {
@@ -186,7 +202,7 @@ TEST_P(RetrievalTest, DisjunctiveGroupMatchesEitherDisjunct) {
   rel::ParamMap middle = {{"Amount", Value::Int(50)},
                           {"Requester", Value::String("x")},
                           {"Location", Value::String("PA")}};
-  auto relevant = store_->RelevantRequirements("Manager", "Approval", middle);
+  auto relevant = Relevant("Manager", "Approval", middle);
   ASSERT_TRUE(relevant.ok());
   for (const auto& r : *relevant) {
     EXPECT_NE(r.where_clause, "Experience > 3");
@@ -279,6 +295,7 @@ TEST(RetrievalEquivalenceTest, DirectSqlAndNaiveAgreeOnRandomBases) {
   config.seed = 99;
   auto w = SyntheticWorkload::Build(config);
   ASSERT_TRUE(w.ok()) << w.status().ToString();
+  PaperRetrieval sql_ablation((*w)->store(), {Strategy::kSql});
 
   std::mt19937 rng(7);
   for (int trial = 0; trial < 50; ++trial) {
@@ -288,12 +305,10 @@ TEST(RetrievalEquivalenceTest, DirectSqlAndNaiveAgreeOnRandomBases) {
     const std::string& res = query->resource();
     const std::string& act = query->activity();
 
-    (*w)->store().set_retrieval_mode(RetrievalMode::kDirect);
     auto direct = (*w)->store().RelevantRequirements(res, act, spec);
     ASSERT_TRUE(direct.ok());
 
-    (*w)->store().set_retrieval_mode(RetrievalMode::kSql);
-    auto sql = (*w)->store().RelevantRequirements(res, act, spec);
+    auto sql = sql_ablation.RelevantRequirements(res, act, spec);
     ASSERT_TRUE(sql.ok());
 
     auto naive = (*w)->naive()->RelevantRequirements(res, act, spec);
@@ -330,9 +345,9 @@ TEST(RetrievalEquivalenceTest, IndexedAndScanPathsAgree) {
   config.seed = 123;
   auto w = SyntheticWorkload::Build(config);
   ASSERT_TRUE(w.ok());
-  // Index-vs-scan only differs on the paper's own retrieval paths; the
-  // compiled tables never consult the relational indexes.
-  (*w)->store().set_compiled_enabled(false);
+  PaperRetrieval index_probes((*w)->store());
+  PaperRetrieval full_scans((*w)->store(), {Strategy::kFilterFirst,
+                                            /*use_indexes=*/false});
 
   std::mt19937 rng(8);
   for (int trial = 0; trial < 30; ++trial) {
@@ -340,13 +355,10 @@ TEST(RetrievalEquivalenceTest, IndexedAndScanPathsAgree) {
     ASSERT_TRUE(query.ok());
     rel::ParamMap spec = query->spec.AsParams();
 
-    (*w)->store().set_use_indexes(true);
-    auto indexed = (*w)->store().RelevantRequirements(
+    auto indexed = index_probes.RelevantRequirements(
         query->resource(), query->activity(), spec);
-    (*w)->store().set_use_indexes(false);
-    auto scanned = (*w)->store().RelevantRequirements(
+    auto scanned = full_scans.RelevantRequirements(
         query->resource(), query->activity(), spec);
-    (*w)->store().set_use_indexes(true);
     ASSERT_TRUE(indexed.ok());
     ASSERT_TRUE(scanned.ok());
     ASSERT_EQ(indexed->size(), scanned->size());
@@ -365,28 +377,26 @@ TEST(RetrievalStatsTest, IndexProbesTouchFewerRowsThanScans) {
   config.seed = 5;
   auto w = SyntheticWorkload::Build(config);
   ASSERT_TRUE(w.ok());
-  (*w)->store().set_compiled_enabled(false);
   std::mt19937 rng(5);
   auto query = (*w)->RandomQuery(rng);
   ASSERT_TRUE(query.ok());
 
-  (*w)->store().ResetStats();
-  (*w)->store().set_use_indexes(true);
-  ASSERT_TRUE((*w)->store()
+  PaperRetrieval index_probes((*w)->store());
+  ASSERT_TRUE(index_probes
                   .RelevantRequirements(query->resource(), query->activity(),
                                         query->spec.AsParams())
                   .ok());
-  uint64_t indexed_rows = (*w)->store().stats().candidate_rows +
-                          (*w)->store().stats().interval_rows;
+  uint64_t indexed_rows = index_probes.stats().candidate_rows +
+                          index_probes.stats().interval_rows;
 
-  (*w)->store().ResetStats();
-  (*w)->store().set_use_indexes(false);
-  ASSERT_TRUE((*w)->store()
+  PaperRetrieval full_scans((*w)->store(), {Strategy::kFilterFirst,
+                                            /*use_indexes=*/false});
+  ASSERT_TRUE(full_scans
                   .RelevantRequirements(query->resource(), query->activity(),
                                         query->spec.AsParams())
                   .ok());
-  uint64_t scanned_rows = (*w)->store().stats().candidate_rows +
-                          (*w)->store().stats().interval_rows;
+  uint64_t scanned_rows = full_scans.stats().candidate_rows +
+                          full_scans.stats().interval_rows;
 
   EXPECT_LT(indexed_rows, scanned_rows / 4)
       << "indexed=" << indexed_rows << " scanned=" << scanned_rows;

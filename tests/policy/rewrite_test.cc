@@ -181,15 +181,17 @@ TEST_F(RewriteTest, PolicyManagerAlternativesReenterPipeline) {
 }
 
 TEST_F(RewriteTest, RewritingsAgreeAcrossRetrievalModes) {
-  for (RetrievalMode mode : {RetrievalMode::kDirect, RetrievalMode::kSql}) {
-    store_->set_retrieval_mode(mode);
+  // The store's two requirement paths: compiled tables and the reference
+  // plan.
+  for (bool compiled : {true, false}) {
+    store_->set_compiled_enabled(compiled);
     auto fanned = rewriter_->RewriteQualification(Figure4Query());
     ASSERT_TRUE(fanned.ok());
     auto enhanced = rewriter_->RewriteRequirement((*fanned)[0]);
     ASSERT_TRUE(enhanced.ok());
     EXPECT_NE(enhanced->ToString().find("Experience > 5"),
               std::string::npos)
-        << "mode " << static_cast<int>(mode);
+        << "compiled " << compiled;
   }
 }
 

@@ -143,7 +143,9 @@ Shadow BuildShadow(const std::string& dir) {
       }
       auto image = (*pages)->LoadImage();
       EXPECT_TRUE(image.ok()) << image.status().ToString();
-      if (image.ok()) EXPECT_TRUE(s.store->ImportImage(*image).ok());
+      if (image.ok()) {
+        EXPECT_TRUE(s.store->ImportImage(*image).ok());
+      }
       auto leases = (*pages)->LoadLeases();
       EXPECT_TRUE(leases.ok()) << leases.status().ToString();
       if (leases.ok()) {
