@@ -1,16 +1,21 @@
 // Prices the epoch-versioned enforcement cache: cold (cache disabled)
 // vs warm retrieval, steady-state throughput under writer churn (0, 1
 // and 8 policy mutations per 10k queries — every mutation bumps the
-// store epoch and invalidates all cached derivations), and concurrent
-// shared-lock retrieval scaling at 1 vs 8 reader threads. Counters
-// carry the hit-rate and invalidation figures from StoreStatsSnapshot.
+// store epoch and invalidates all cached derivations), concurrent
+// shared-lock retrieval scaling at 1 vs 8 reader threads, and a warm
+// prepared Submit against parsing the same texts. Counters carry the
+// hit-rate and invalidation figures from StoreStatsSnapshot.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <chrono>
 #include <memory>
 #include <random>
+#include <string>
 #include <vector>
 
+#include "core/resource_manager.h"
 #include "json_reporter.h"
 #include "obs/metrics.h"
 #include "policy/policy_manager.h"
@@ -172,36 +177,130 @@ BENCHMARK(BM_Cache_WarmPipeline);
 // Prices the observability hooks on the hot path: the warm pipeline
 // with a metrics registry attached to the store (every retrieval and
 // cache probe mirrors into relaxed atomic counters) vs detached (the
-// null-pointer fast path). Enabled must stay within 5% of disabled —
-// compare_bench.py enforces the bound from baseline.json.
-void RunObsPipeline(benchmark::State& state, bool metrics_on) {
+// null-pointer fast path). One run interleaves the two: each iteration
+// times one block of calls detached and one attached, swapping which
+// goes first every iteration, so drift in machine speed lands on both
+// sides. The counters are the median ns per call of each side and
+// their ratio; compare_bench.py gates the ratio (enabled within 5% of
+// disabled, from baseline.json).
+void BM_Obs_WarmPipelineOverhead(benchmark::State& state) {
   static auto* w = BuildWorkload().release();
   static auto* queries = new std::vector<rql::RqlQuery>(MakeQueries(*w, 64));
   static auto* pm = new PolicyManager(&w->org(), &w->store());
   static auto* registry = new obs::MetricsRegistry();
+  constexpr size_t kBlock = 256;
   w->store().set_cache_enabled(true);
-  w->store().set_metrics(metrics_on ? registry : nullptr);
   for (const auto& query : *queries) {
     benchmark::DoNotOptimize(pm->EnforcePrimaryShared(query));
   }
   size_t i = 0;
+  auto block_ns = [&](bool metrics_on) {
+    w->store().set_metrics(metrics_on ? registry : nullptr);
+    const auto start = std::chrono::steady_clock::now();
+    for (size_t k = 0; k < kBlock; ++k) {
+      benchmark::DoNotOptimize(
+          pm->EnforcePrimaryShared((*queries)[i++ % queries->size()]));
+    }
+    const auto end = std::chrono::steady_clock::now();
+    return std::chrono::duration<double, std::nano>(end - start).count() /
+           kBlock;
+  };
+  std::vector<double> off;
+  std::vector<double> on;
+  bool on_first = false;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        pm->EnforcePrimaryShared((*queries)[i++ % queries->size()]));
+    if (on_first) on.push_back(block_ns(true));
+    off.push_back(block_ns(false));
+    if (!on_first) on.push_back(block_ns(true));
+    on_first = !on_first;
   }
   w->store().set_metrics(nullptr);
+  auto median = [](std::vector<double>* v) {
+    std::nth_element(v->begin(), v->begin() + v->size() / 2, v->end());
+    return (*v)[v->size() / 2];
+  };
+  const double off_ns = median(&off);
+  const double on_ns = median(&on);
+  state.counters["metrics_off_ns"] = off_ns;
+  state.counters["metrics_on_ns"] = on_ns;
+  state.counters["on_off_ratio"] = on_ns / off_ns;
+  state.SetItemsProcessed(
+      static_cast<int64_t>(state.iterations() * 2 * kBlock));
+}
+BENCHMARK(BM_Obs_WarmPipelineOverhead);
+
+// The prepared request path against the parse it skips, over the same
+// 64 texts of the lease world (stackbench's acquire_wal world: q=2, c=4,
+// 64 instances per resource type, texts answered by 16 to 64
+// resources). WarmSubmit is ResourceManager::Submit(text) once every
+// text is memoized; ParseAndBind is rql::ParseAndBindRql of the same
+// texts. CI gates WarmSubmit / ParseAndBind from one run: a Submit that
+// still parsed, rendered or re-bound per call costs about 4 parses.
+struct LeaseWorld {
+  std::unique_ptr<SyntheticWorkload> w;
+  std::unique_ptr<core::ResourceManager> rm;
+  std::vector<std::string> texts;
+};
+
+LeaseWorld* BuildLeaseWorld() {
+  auto* world = new LeaseWorld();
+  SyntheticConfig config;
+  config.q = 2;
+  config.c = 4;
+  config.instances_per_resource = 64;
+  auto w = SyntheticWorkload::Build(config);
+  if (!w.ok()) std::abort();
+  world->w = std::move(w).ValueOrDie();
+  world->rm = std::make_unique<core::ResourceManager>(&world->w->org(),
+                                                       &world->w->store());
+  std::mt19937 rng(29);
+  for (int attempt = 0; world->texts.size() < 64 && attempt < 100000;
+       ++attempt) {
+    auto q = world->w->RandomQuery(rng);
+    if (!q.ok()) continue;
+    std::string text = q->ToString();
+    auto outcome = world->rm->Submit(text);
+    if (!outcome.ok() || outcome->candidates.size() < 16 ||
+        outcome->candidates.size() > 64 ||
+        std::find(world->texts.begin(), world->texts.end(), text) !=
+            world->texts.end()) {
+      continue;
+    }
+    world->texts.push_back(std::move(text));
+  }
+  if (world->texts.size() < 64) std::abort();
+  return world;
+}
+
+LeaseWorld& SharedLeaseWorld() {
+  static LeaseWorld* world = BuildLeaseWorld();
+  return *world;
+}
+
+void BM_Cache_WarmSubmit(benchmark::State& state) {
+  LeaseWorld& world = SharedLeaseWorld();
+  for (const std::string& text : world.texts) {
+    benchmark::DoNotOptimize(world.rm->Submit(text));
+  }
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        world.rm->Submit(world.texts[i++ % world.texts.size()]));
+  }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
+BENCHMARK(BM_Cache_WarmSubmit);
 
-void BM_Obs_WarmPipelineMetricsOff(benchmark::State& state) {
-  RunObsPipeline(state, /*metrics_on=*/false);
+void BM_Cache_ParseAndBind(benchmark::State& state) {
+  LeaseWorld& world = SharedLeaseWorld();
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(rql::ParseAndBindRql(
+        world.texts[i++ % world.texts.size()], world.w->org()));
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
-BENCHMARK(BM_Obs_WarmPipelineMetricsOff);
-
-void BM_Obs_WarmPipelineMetricsOn(benchmark::State& state) {
-  RunObsPipeline(state, /*metrics_on=*/true);
-}
-BENCHMARK(BM_Obs_WarmPipelineMetricsOn);
+BENCHMARK(BM_Cache_ParseAndBind);
 
 // Concurrent warm retrieval: every thread reads through the shared
 // caches under the store's shared lock. items_per_second at Threads(8)

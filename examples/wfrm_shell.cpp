@@ -328,7 +328,7 @@ struct Shell {
           << "  status              health report (degraded state, WAL,\n"
           << "                      replication lag/epoch)\n"
           << "  stats               retrieval/cache counters (compiled\n"
-          << "                      tables, rewrite LRU, epoch);\n"
+          << "                      tables, rewrite memo, epoch);\n"
           << "                      with a cluster open, also per-shard\n"
           << "                      admission queue depth, shed/rejected\n"
           << "                      counts and breaker state\n"

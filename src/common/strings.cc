@@ -1,5 +1,6 @@
 #include "common/strings.h"
 
+#include <algorithm>
 #include <cctype>
 
 namespace wfrm {
@@ -33,6 +34,16 @@ bool EqualsIgnoreCase(std::string_view a, std::string_view b) {
     }
   }
   return true;
+}
+
+int CompareIgnoreCase(std::string_view a, std::string_view b) {
+  const size_t n = std::min(a.size(), b.size());
+  for (size_t i = 0; i < n; ++i) {
+    const int ca = std::tolower(static_cast<unsigned char>(a[i]));
+    const int cb = std::tolower(static_cast<unsigned char>(b[i]));
+    if (ca != cb) return ca < cb ? -1 : 1;
+  }
+  return a.size() == b.size() ? 0 : (a.size() < b.size() ? -1 : 1);
 }
 
 std::string_view StripWhitespace(std::string_view s) {

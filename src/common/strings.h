@@ -16,6 +16,10 @@ std::string AsciiToUpper(std::string_view s);
 /// Case-insensitive ASCII equality (RQL/PL keywords and identifiers).
 bool EqualsIgnoreCase(std::string_view a, std::string_view b);
 
+/// Three-way comparison of AsciiToLower(a) and AsciiToLower(b) (<0, 0,
+/// >0), without building either string.
+int CompareIgnoreCase(std::string_view a, std::string_view b);
+
 /// Removes leading and trailing ASCII whitespace.
 std::string_view StripWhitespace(std::string_view s);
 

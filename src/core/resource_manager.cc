@@ -219,12 +219,12 @@ bool ResourceManager::IsUnavailableLocked(const org::ResourceRef& ref,
 }
 
 Result<size_t> ResourceManager::RunQueries(
-    const std::vector<rql::RqlQuery>& queries, QueryOutcome* outcome,
-    obs::TraceSpan* parent, const char* stage, const RequestContext* ctx,
-    const RefList* unavailable) const {
+    const std::vector<const policy::PreparedScan*>& scans,
+    QueryOutcome* outcome, obs::TraceSpan* parent, const char* stage,
+    const RequestContext* ctx, const RefList* unavailable) const {
   obs::ScopedSpan span(parent, "execute");
   obs::Attr(span, "stage", stage);
-  obs::Attr(span, "queries", static_cast<int64_t>(queries.size()));
+  obs::Attr(span, "queries", static_cast<int64_t>(scans.size()));
 
   // Shared lock: concurrent submits execute together; org writers
   // (instance inserts, type definitions) are excluded for the duration.
@@ -235,21 +235,13 @@ Result<size_t> ResourceManager::RunQueries(
 
   size_t found = 0;
   size_t matched = 0;
-  for (const rql::RqlQuery& query : queries) {
+  std::vector<org::ResourceRef> refs;
+  std::vector<char> busy;
+  for (const policy::PreparedScan* scan : scans) {
     // Stage boundary: a wide fan-out runs many enforced queries; stop
     // between them once the request expired or was cancelled.
     WFRM_RETURN_NOT_OK(CheckRequestAlive(ctx));
-    // Execute with Id prepended so availability and allocation can be
-    // tracked; the user's projection follows.
-    rel::SelectPtr select = query.select->Clone();
-    {
-      rel::SelectItem id_item;
-      id_item.expr = rel::MakeColumnRef("Id");
-      id_item.alias = "Id";
-      select->items.insert(select->items.begin(), std::move(id_item));
-    }
-    WFRM_ASSIGN_OR_RETURN(rel::ResultSet rs,
-                          exec.Execute(*select, query.spec.AsParams()));
+    WFRM_ASSIGN_OR_RETURN(rel::ResultSet rs, scan->select->Run(exec));
     matched += rs.rows.size();
 
     // Result schema: ResourceType, Id, then the user's columns.
@@ -259,26 +251,35 @@ Result<size_t> ResourceManager::RunQueries(
       for (const rel::Column& c : rs.schema.columns()) schema.AddColumn(c);
       outcome->resources.schema = std::move(schema);
     }
-    const std::string& type = query.resource();
+    const std::string& type = scan->query->resource();
+    refs.clear();
+    refs.reserve(rs.rows.size());
+    for (const rel::Row& row : rs.rows) {
+      refs.push_back(org::ResourceRef{type, row[0].string_value()});
+    }
+    // Busy or down resources are unavailable: one pass under one hold.
+    busy.assign(refs.size(), 0);
     const int64_t now = clock_->NowMicros();
-    for (rel::Row& row : rs.rows) {
-      org::ResourceRef ref{type, row[0].string_value()};
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      for (size_t i = 0; i < refs.size(); ++i) {
+        busy[i] = IsUnavailableLocked(refs[i], now);
+      }
+    }
+    for (size_t i = 0; i < refs.size(); ++i) {
+      if (busy[i] != 0) continue;
       if (unavailable != nullptr &&
-          std::find(unavailable->begin(), unavailable->end(), ref) !=
+          std::find(unavailable->begin(), unavailable->end(), refs[i]) !=
               unavailable->end()) {
         continue;
       }
-      {
-        // Busy or down resources are unavailable.
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (IsUnavailableLocked(ref, now)) continue;
-      }
+      rel::Row& row = rs.rows[i];
       rel::Row out;
       out.reserve(row.size() + 1);
       out.push_back(rel::Value::String(type));
       for (rel::Value& v : row) out.push_back(std::move(v));
       outcome->resources.rows.push_back(std::move(out));
-      outcome->candidates.push_back(std::move(ref));
+      outcome->candidates.push_back(std::move(refs[i]));
       ++found;
     }
   }
@@ -289,8 +290,8 @@ Result<size_t> ResourceManager::RunQueries(
 }
 
 Result<QueryOutcome> ResourceManager::SubmitImpl(
-    const rql::RqlQuery& query, obs::EnforcementTrace* trace,
-    const RequestContext* ctx, const RefList* unavailable) const {
+    Request request, obs::EnforcementTrace* trace, const RequestContext* ctx,
+    const RefList* unavailable) const {
   const bool timed = metrics_.submit_latency != nullptr;
   const int64_t t0 = timed ? clock_->NowMicros() : 0;
   obs::TraceSpan* root = trace != nullptr ? trace->root() : nullptr;
@@ -337,15 +338,28 @@ Result<QueryOutcome> ResourceManager::SubmitImpl(
     }
 
     // Stage 1+2 (§4.1, §4.2): qualification fan-out, requirement
-    // enhancement. The shared variant serves warm rewrite-cache hits
-    // without deep-copying the enforced queries.
-    WFRM_ASSIGN_OR_RETURN(
-        std::shared_ptr<const policy::EnforcedQueries> primary,
-        policy_manager_.EnforcePrimaryShared(query, root, ctx));
-    for (const rql::RqlQuery& q : primary->queries) {
-      outcome.primary_queries.push_back(q.ToString());
+    // enhancement, rendering and scan binding, all in the prepared entry
+    // unless the memo already served it.
+    std::shared_ptr<const policy::PreparedEnforcement> entry =
+        std::move(request.entry);
+    if (entry == nullptr) {
+      const bool probe = !request.probed;
+      WFRM_ASSIGN_OR_RETURN(
+          entry, request.owned != nullptr
+                     ? policy_manager_.Prepare(std::move(*request.owned),
+                                               request.key, probe, root, ctx)
+                     : policy_manager_.Prepare(*request.query, request.key,
+                                               probe, root, ctx));
     }
-    if (primary->queries.empty()) {
+    const rql::RqlQuery& query = entry->query;
+    std::vector<const policy::PreparedScan*> scans;
+    scans.reserve(entry->scans.size());
+    outcome.primary_queries.reserve(entry->scans.size());
+    for (const policy::PreparedScan& scan : entry->scans) {
+      scans.push_back(&scan);
+      outcome.primary_queries.push_back(scan.text);
+    }
+    if (scans.empty()) {
       // CWA: no resource type is qualified for this activity.
       outcome.status = Status::NoQualifiedResource(
           "no qualification policy permits any sub-type of '" +
@@ -354,10 +368,9 @@ Result<QueryOutcome> ResourceManager::SubmitImpl(
       return outcome;
     }
 
-    WFRM_ASSIGN_OR_RETURN(
-        size_t found,
-        RunQueries(primary->queries, &outcome, root, "primary", ctx,
-                   unavailable));
+    WFRM_ASSIGN_OR_RETURN(size_t found,
+                          RunQueries(scans, &outcome, root, "primary", ctx,
+                                     unavailable));
     if (found > 0) return outcome;
 
     // Stage 3 (§4.3): the *initial* query is re-sent for substitution;
@@ -370,17 +383,17 @@ Result<QueryOutcome> ResourceManager::SubmitImpl(
       // fallback; never start it for a dead request.
       WFRM_RETURN_NOT_OK(CheckRequestAlive(ctx));
       WFRM_ASSIGN_OR_RETURN(
-          std::vector<policy::EnforcedQueries> rounds,
-          policy_manager_.EnforceAlternativesRounds(
+          std::vector<policy::PreparedRound> rounds,
+          policy_manager_.PrepareAlternativesRounds(
               query, options_.max_substitution_rounds, root, ctx));
-      for (const policy::EnforcedQueries& alternatives : rounds) {
-        if (alternatives.queries.empty()) continue;
+      for (const policy::PreparedRound& alternatives : rounds) {
+        if (alternatives.scans.empty()) continue;
         outcome.used_substitution = true;
-        for (const rql::RqlQuery& q : alternatives.queries) {
-          outcome.alternative_queries.push_back(q.ToString());
+        for (const policy::PreparedScan* scan : alternatives.scans) {
+          outcome.alternative_queries.push_back(scan->text);
         }
         WFRM_ASSIGN_OR_RETURN(found,
-                              RunQueries(alternatives.queries, &outcome, root,
+                              RunQueries(alternatives.scans, &outcome, root,
                                          "alternatives", ctx, unavailable));
         if (found > 0) return outcome;
       }
@@ -461,49 +474,67 @@ Result<QueryOutcome> ResourceManager::SubmitImpl(
 Result<QueryOutcome> ResourceManager::Submit(const rql::RqlQuery& query,
                                              obs::EnforcementTrace* trace,
                                              const RequestContext* ctx) const {
-  return SubmitImpl(query, trace, ctx);
+  const std::string key = policy::Rewriter::EnforcementKey(query);
+  return SubmitImpl(Request{.query = &query, .key = key}, trace, ctx);
 }
 
 Result<QueryOutcome> ResourceManager::SubmitToSink(
-    const rql::RqlQuery& query, const RequestContext* ctx,
+    Request request, const RequestContext* ctx,
     const RefList* unavailable) const {
   if (options_.trace_sink == nullptr) {
-    return SubmitImpl(query, nullptr, ctx, unavailable);
+    return SubmitImpl(std::move(request), nullptr, ctx, unavailable);
   }
-  auto trace =
-      std::make_shared<obs::EnforcementTrace>(query.ToString(), clock_);
+  auto trace = std::make_shared<obs::EnforcementTrace>(
+      request.query->ToString(), clock_);
   Result<QueryOutcome> result =
-      SubmitImpl(query, trace.get(), ctx, unavailable);
+      SubmitImpl(std::move(request), trace.get(), ctx, unavailable);
   trace->Finish();
   options_.trace_sink->Add(std::move(trace));
   return result;
 }
 
+Result<QueryOutcome> ResourceManager::SubmitText(
+    std::string_view rql_text, const RequestContext* ctx,
+    const RefList* unavailable) const {
+  // A traced request recomputes its stages anyway, so it parses first
+  // and leaves the probe to the rewrite stage, inside its span.
+  const bool traced = options_.trace_sink != nullptr;
+  if (!traced) {
+    auto entry = policy_manager_.FindPrepared(rql_text);
+    if (entry != nullptr) {
+      return SubmitImpl(Request{.entry = std::move(entry)}, nullptr, ctx,
+                        unavailable);
+    }
+  }
+  WFRM_ASSIGN_OR_RETURN(rql::RqlQuery query,
+                        rql::ParseAndBindRql(rql_text, *org_));
+  return SubmitToSink(Request{.query = &query,
+                              .owned = &query,
+                              .key = rql_text,
+                              .probed = !traced},
+                      ctx, unavailable);
+}
+
 Result<QueryOutcome> ResourceManager::Submit(
     const rql::RqlQuery& query) const {
-  return SubmitToSink(query, nullptr, nullptr);
+  const std::string key = policy::Rewriter::EnforcementKey(query);
+  return SubmitToSink(Request{.query = &query, .key = key}, nullptr, nullptr);
 }
 
 Result<QueryOutcome> ResourceManager::Submit(
     std::string_view rql_text, const RefList& unavailable) const {
-  WFRM_ASSIGN_OR_RETURN(rql::RqlQuery query,
-                        rql::ParseAndBindRql(rql_text, *org_));
-  return SubmitToSink(query, nullptr, &unavailable);
+  return SubmitText(rql_text, nullptr, &unavailable);
 }
 
 Result<QueryOutcome> ResourceManager::Submit(std::string_view rql_text) const {
-  WFRM_ASSIGN_OR_RETURN(rql::RqlQuery query,
-                        rql::ParseAndBindRql(rql_text, *org_));
-  return Submit(query);
+  return SubmitText(rql_text, nullptr, nullptr);
 }
 
 Result<QueryOutcome> ResourceManager::Submit(std::string_view rql_text,
                                              const RequestContext& ctx) const {
-  // Parsing is cheap but not free; a dead request skips even that.
+  // A dead request skips even the memo probe and parsing.
   WFRM_RETURN_NOT_OK(ctx.CheckAlive());
-  WFRM_ASSIGN_OR_RETURN(rql::RqlQuery query,
-                        rql::ParseAndBindRql(rql_text, *org_));
-  return SubmitToSink(query, &ctx, nullptr);
+  return SubmitText(rql_text, &ctx, nullptr);
 }
 
 Result<ResourceManager::Explanation> ResourceManager::ExplainQuery(
@@ -512,8 +543,10 @@ Result<ResourceManager::Explanation> ResourceManager::ExplainQuery(
                         rql::ParseAndBindRql(rql_text, *org_));
   auto trace =
       std::make_shared<obs::EnforcementTrace>(query.ToString(), clock_);
-  WFRM_ASSIGN_OR_RETURN(QueryOutcome outcome,
-                        SubmitImpl(query, trace.get(), nullptr));
+  WFRM_ASSIGN_OR_RETURN(
+      QueryOutcome outcome,
+      SubmitImpl(Request{.query = &query, .owned = &query, .key = rql_text},
+                 trace.get(), nullptr));
   trace->Finish();
   Explanation explanation;
   explanation.report = RenderExplainReport(outcome, *trace);

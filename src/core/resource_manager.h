@@ -9,6 +9,7 @@
 #include <random>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/clock.h"
@@ -399,27 +400,44 @@ class ResourceManager {
   /// Refs a Submit treats as busy on top of the allocation table.
   using RefList = std::vector<org::ResourceRef>;
 
-  /// Executes enforced queries; appends hits to `outcome`. Returns the
-  /// number of available resources found. When `parent` is non-null an
+  /// Runs prepared scans; appends hits to `outcome`. Returns the number
+  /// of available resources found. When `parent` is non-null an
   /// "execute" span records matched/available/filtered row counts for
   /// `stage` ("primary" or "alternatives").
-  Result<size_t> RunQueries(const std::vector<rql::RqlQuery>& queries,
-                            QueryOutcome* outcome, obs::TraceSpan* parent,
-                            const char* stage, const RequestContext* ctx,
-                            const RefList* unavailable) const;
+  Result<size_t> RunQueries(
+      const std::vector<const policy::PreparedScan*>& scans,
+      QueryOutcome* outcome, obs::TraceSpan* parent, const char* stage,
+      const RequestContext* ctx, const RefList* unavailable) const;
+
+  /// What SubmitImpl enforces: an entry the memo already served, or a
+  /// bound query to prepare at the rewrite stage, memoized under `key`.
+  /// `owned` is `query` when the callee may take it; `probed` means the
+  /// caller already missed on `key`.
+  struct Request {
+    std::shared_ptr<const policy::PreparedEnforcement> entry = nullptr;
+    const rql::RqlQuery* query = nullptr;
+    rql::RqlQuery* owned = nullptr;
+    std::string_view key = {};
+    bool probed = false;
+  };
 
   /// The traced/metered Submit body; `trace`, `ctx` and `unavailable`
   /// may be null.
-  Result<QueryOutcome> SubmitImpl(const rql::RqlQuery& query,
+  Result<QueryOutcome> SubmitImpl(Request request,
                                   obs::EnforcementTrace* trace,
                                   const RequestContext* ctx,
                                   const RefList* unavailable = nullptr) const;
 
   /// SubmitImpl, delivering a decision log to options_.trace_sink when
   /// one is configured.
-  Result<QueryOutcome> SubmitToSink(const rql::RqlQuery& query,
-                                    const RequestContext* ctx,
+  Result<QueryOutcome> SubmitToSink(Request request, const RequestContext* ctx,
                                     const RefList* unavailable) const;
+
+  /// Submit of request text: an untraced call probes the memo by the raw
+  /// text and parses only on a miss.
+  Result<QueryOutcome> SubmitText(std::string_view rql_text,
+                                  const RequestContext* ctx,
+                                  const RefList* unavailable) const;
 
   std::vector<Result<QueryOutcome>> SubmitBatchImpl(
       const std::vector<std::string>& rql_texts, size_t num_workers,

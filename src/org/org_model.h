@@ -24,8 +24,8 @@ struct ResourceRef {
     return EqualsIgnoreCase(type, other.type) && id == other.id;
   }
   bool operator<(const ResourceRef& other) const {
-    std::string a = AsciiToLower(type), b = AsciiToLower(other.type);
-    return a != b ? a < b : id < other.id;
+    const int c = CompareIgnoreCase(type, other.type);
+    return c != 0 ? c < 0 : id < other.id;
   }
   std::string ToString() const { return type + ":" + id; }
 };

@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <set>
+#include <string_view>
 #include <utility>
 
 namespace wfrm::policy {
@@ -14,47 +15,69 @@ EnforcedQueries EnforcedQueries::Clone() const {
   return out;
 }
 
-std::shared_ptr<const EnforcedQueries> PolicyManager::RewriteCacheGet(
-    const std::string& key, uint64_t epoch, CacheLookup* outcome) const {
-  std::lock_guard<std::mutex> lock(rewrite_mu_);
-  auto it = rewrite_map_.find(key);
-  if (it == rewrite_map_.end()) {
+void PolicyManager::Memo::Unlink(Node* node) {
+  (node->newer != nullptr ? node->newer->older : newest_) = node->older;
+  (node->older != nullptr ? node->older->newer : oldest_) = node->newer;
+  node->newer = node->older = nullptr;
+}
+
+void PolicyManager::Memo::LinkNewest(Node* node) {
+  node->older = newest_;
+  if (newest_ != nullptr) newest_->newer = node;
+  newest_ = node;
+  if (oldest_ == nullptr) oldest_ = node;
+}
+
+std::shared_ptr<const PreparedEnforcement> PolicyManager::Memo::Get(
+    std::string_view key, uint64_t epoch, uint64_t catalog_version,
+    CacheLookup* outcome) {
+  // A dropped entry is destroyed after the lock is released.
+  std::shared_ptr<const PreparedEnforcement> dropped;
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = map_.find(key);
+  if (it == map_.end()) {
     *outcome = CacheLookup::kMiss;
     return nullptr;
   }
-  if (it->second->epoch != epoch) {
-    rewrite_lru_.erase(it->second);
-    rewrite_map_.erase(it);
+  Node* node = &it->second;
+  Unlink(node);
+  if (node->entry->epoch != epoch ||
+      node->entry->catalog_version != catalog_version) {
+    dropped = std::move(node->entry);
+    map_.erase(it);
     *outcome = CacheLookup::kStale;
     return nullptr;
   }
-  rewrite_lru_.splice(rewrite_lru_.begin(), rewrite_lru_, it->second);
+  LinkNewest(node);
   *outcome = CacheLookup::kHit;
-  return it->second->value;
+  return node->entry;
 }
 
-void PolicyManager::RewriteCachePut(
-    const std::string& key, uint64_t epoch,
-    std::shared_ptr<const EnforcedQueries> value) const {
-  std::lock_guard<std::mutex> lock(rewrite_mu_);
-  auto it = rewrite_map_.find(key);
-  if (it != rewrite_map_.end()) {
-    it->second->epoch = epoch;
-    it->second->value = std::move(value);
-    rewrite_lru_.splice(rewrite_lru_.begin(), rewrite_lru_, it->second);
-    return;
+void PolicyManager::Memo::Put(
+    std::string_view key, std::shared_ptr<const PreparedEnforcement> entry) {
+  // A replaced or evicted entry is destroyed after the lock is released.
+  std::shared_ptr<const PreparedEnforcement> dropped;
+  std::lock_guard<std::mutex> lock(mu_);
+  auto [it, inserted] = map_.try_emplace(std::string(key));
+  Node* node = &it->second;
+  if (inserted) {
+    node->key = &it->first;
+  } else {
+    Unlink(node);
   }
-  rewrite_lru_.push_front(RewriteEntry{key, epoch, std::move(value)});
-  rewrite_map_[key] = rewrite_lru_.begin();
-  while (rewrite_lru_.size() > rewrite_capacity_) {
-    rewrite_map_.erase(rewrite_lru_.back().key);
-    rewrite_lru_.pop_back();
+  dropped = std::exchange(node->entry, std::move(entry));
+  LinkNewest(node);
+  if (map_.size() > capacity_) {  // One insert evicts at most one entry.
+    Node* victim = oldest_;
+    Unlink(victim);
+    dropped = std::move(victim->entry);
+    map_.erase(*victim->key);
   }
 }
 
-size_t PolicyManager::rewrite_cache_size() const {
-  std::lock_guard<std::mutex> lock(rewrite_mu_);
-  return rewrite_lru_.size();
+size_t PolicyManager::Memo::size() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return map_.size();
 }
 
 Result<EnforcedQueries> PolicyManager::EnforcePrimary(
@@ -68,50 +91,105 @@ Result<std::shared_ptr<const EnforcedQueries>>
 PolicyManager::EnforcePrimaryShared(const rql::RqlQuery& query,
                                     obs::TraceSpan* parent,
                                     const RequestContext* ctx) const {
+  WFRM_ASSIGN_OR_RETURN(std::shared_ptr<const PreparedEnforcement> entry,
+                        Prepare(query, Rewriter::EnforcementKey(query),
+                                /*probe=*/true, parent, ctx));
+  return std::shared_ptr<const EnforcedQueries>(entry, &entry->enforced);
+}
+
+std::shared_ptr<const PreparedEnforcement> PolicyManager::FindPrepared(
+    std::string_view text) const {
+  if (!memo_enabled()) return nullptr;
+  CacheLookup outcome;
+  auto hit = memo_.Get(text, store_->epoch(), org_->db().catalog_version(),
+                       &outcome);
+  store_->NoteRewriteLookup(outcome);
+  return hit;
+}
+
+Result<std::shared_ptr<const PreparedEnforcement>> PolicyManager::Prepare(
+    rql::RqlQuery&& query, std::string_view key, bool probe,
+    obs::TraceSpan* parent, const RequestContext* ctx) const {
+  return PrepareImpl(query, &query, key, probe, parent, ctx);
+}
+
+Result<std::shared_ptr<const PreparedEnforcement>> PolicyManager::Prepare(
+    const rql::RqlQuery& query, std::string_view key, bool probe,
+    obs::TraceSpan* parent, const RequestContext* ctx) const {
+  return PrepareImpl(query, nullptr, key, probe, parent, ctx);
+}
+
+Result<std::shared_ptr<const PreparedEnforcement>> PolicyManager::PrepareImpl(
+    const rql::RqlQuery& query, rql::RqlQuery* owned, std::string_view key,
+    bool probe, obs::TraceSpan* parent, const RequestContext* ctx) const {
   obs::ScopedSpan span(parent, "enforce_primary");
-  const bool use_cache = store_->cache_enabled() && rewrite_capacity_ > 0;
-  std::string key;
-  uint64_t observed_epoch = 0;
-  bool cache_hit = false;
-  if (use_cache) {
-    key = Rewriter::EnforcementKey(query);
-    observed_epoch = store_->epoch();
+  const bool use_memo = memo_enabled();
+  bool hit = false;
+  if (use_memo && probe) {
     CacheLookup outcome;
-    auto hit = RewriteCacheGet(key, observed_epoch, &outcome);
+    auto entry = memo_.Get(key, store_->epoch(),
+                           org_->db().catalog_version(), &outcome);
     store_->NoteRewriteLookup(outcome);
     obs::Attr(span, "rewrite_cache", CacheLookupName(outcome));
-    if (hit != nullptr) {
-      // Untraced: serve the memo. Traced: record the hit but recompute
+    if (entry != nullptr) {
+      // Untraced: serve the entry. Traced: record the hit but recompute
       // the stages so the decision log names the policies that fired.
-      if (span.get() == nullptr) return hit;
-      cache_hit = true;
+      if (span.get() == nullptr) return entry;
+      hit = true;
     }
-  } else {
+  } else if (!use_memo) {
     obs::Attr(span, "rewrite_cache", "off");
   }
+  WFRM_ASSIGN_OR_RETURN(
+      std::shared_ptr<const PreparedEnforcement> entry,
+      Build(owned != nullptr ? std::move(*owned) : query.Clone(), span, ctx));
+  // Publish only if no mutation interleaved with the build; a torn entry
+  // would otherwise survive until the next version bump.
+  if (use_memo && !hit && store_->epoch() == entry->epoch &&
+      org_->db().catalog_version() == entry->catalog_version) {
+    memo_.Put(key, entry);
+  }
+  return entry;
+}
 
-  auto out = std::make_shared<EnforcedQueries>();
+Result<std::shared_ptr<const PreparedEnforcement>> PolicyManager::Build(
+    rql::RqlQuery query, obs::TraceSpan* span,
+    const RequestContext* ctx) const {
+  auto entry = std::make_shared<PreparedEnforcement>();
+  entry->epoch = store_->epoch();
+  entry->catalog_version = org_->db().catalog_version();
+  entry->query = std::move(query);
   WFRM_ASSIGN_OR_RETURN(std::vector<rql::RqlQuery> fanned,
-                        rewriter_.RewriteQualification(query, span));
+                        rewriter_.RewriteQualification(entry->query, span));
   // Stage boundary (§4.1 → §4.2): the fan-out can be wide, and each
   // fanned query pays a requirement rewrite — don't start them for a
   // request nobody is waiting on.
   WFRM_RETURN_NOT_OK(CheckRequestAlive(ctx));
+  EnforcedQueries& enforced = entry->enforced;
   for (rql::RqlQuery& q : fanned) {
     std::string type = q.resource();
     WFRM_ASSIGN_OR_RETURN(rql::RqlQuery enhanced,
                           rewriter_.RewriteRequirement(q, span));
-    out->qualified_types.push_back(std::move(type));
-    out->queries.push_back(std::move(enhanced));
+    enforced.qualified_types.push_back(std::move(type));
+    enforced.queries.push_back(std::move(enhanced));
   }
-  std::shared_ptr<const EnforcedQueries> result = std::move(out);
-  // Publish only if no mutation interleaved with the rewrite; a torn
-  // entry would otherwise survive until the next epoch bump. The entry
-  // is immutable, so the cache and the caller share one copy.
-  if (use_cache && !cache_hit && store_->epoch() == observed_epoch) {
-    RewriteCachePut(key, observed_epoch, result);
+  // Render and bind each enforced query once per entry. Execution
+  // tracks resources by Id, so the scan's select list starts with it.
+  entry->scans.reserve(enforced.queries.size());
+  auto org_lock = org_->ReadLock();
+  for (size_t i = 0; i < enforced.queries.size(); ++i) {
+    const rql::RqlQuery& q = enforced.queries[i];
+    rel::SelectPtr select = q.select->Clone();
+    rel::SelectItem id_item;
+    id_item.expr = rel::MakeColumnRef("Id");
+    id_item.alias = "Id";
+    select->items.insert(select->items.begin(), std::move(id_item));
+    entry->scans.push_back(PreparedScan{
+        &q, &enforced.qualified_types[i], q.ToString(),
+        std::make_unique<const rel::BoundSelect>(
+            org_->db(), std::move(select), q.spec.AsParams())});
   }
-  return result;
+  return std::shared_ptr<const PreparedEnforcement>(std::move(entry));
 }
 
 Result<EnforcedQueries> PolicyManager::EnforceAlternatives(
@@ -124,9 +202,24 @@ Result<EnforcedQueries> PolicyManager::EnforceAlternatives(
 Result<std::vector<EnforcedQueries>> PolicyManager::EnforceAlternativesRounds(
     const rql::RqlQuery& query, size_t rounds, obs::TraceSpan* parent,
     const RequestContext* ctx) const {
+  WFRM_ASSIGN_OR_RETURN(std::vector<PreparedRound> prepared,
+                        PrepareAlternativesRounds(query, rounds, parent, ctx));
+  std::vector<EnforcedQueries> out(prepared.size());
+  for (size_t r = 0; r < prepared.size(); ++r) {
+    for (const PreparedScan* scan : prepared[r].scans) {
+      out[r].queries.push_back(scan->query->Clone());
+      out[r].qualified_types.push_back(*scan->qualified_type);
+    }
+  }
+  return out;
+}
+
+Result<std::vector<PreparedRound>> PolicyManager::PrepareAlternativesRounds(
+    const rql::RqlQuery& query, size_t rounds, obs::TraceSpan* parent,
+    const RequestContext* ctx) const {
   obs::ScopedSpan alt_span(parent, "enforce_alternatives");
   obs::Attr(alt_span, "max_rounds", static_cast<int64_t>(rounds));
-  std::vector<EnforcedQueries> out;
+  std::vector<PreparedRound> out;
   // Alternatives already explored, keyed by their pre-enforcement text —
   // this is the cycle protection that makes the recursive variant
   // terminate (A substitutable by B and B by A would otherwise ping-pong
@@ -134,10 +227,11 @@ Result<std::vector<EnforcedQueries>> PolicyManager::EnforceAlternativesRounds(
   std::set<std::string> seen_alternatives;
   seen_alternatives.insert(query.ToString());
   // Final enforced queries already emitted in some round.
-  std::set<std::string> seen_enforced;
+  std::set<std::string_view> seen_enforced;
 
-  std::vector<rql::RqlQuery> frontier;
-  frontier.push_back(query.Clone());
+  // Each round's sources; alternatives are owned by the previous round's
+  // entries.
+  std::vector<const rql::RqlQuery*> frontier = {&query};
 
   for (size_t round = 0; round < rounds && !frontier.empty(); ++round) {
     // Stage boundary: each round re-enters the full primary pipeline per
@@ -145,25 +239,25 @@ Result<std::vector<EnforcedQueries>> PolicyManager::EnforceAlternativesRounds(
     WFRM_RETURN_NOT_OK(CheckRequestAlive(ctx));
     obs::ScopedSpan round_span(alt_span, "round");
     obs::Attr(round_span, "round", static_cast<int64_t>(round + 1));
-    EnforcedQueries this_round;
-    std::vector<rql::RqlQuery> next_frontier;
-    for (const rql::RqlQuery& source : frontier) {
+    PreparedRound this_round;
+    std::vector<const rql::RqlQuery*> next_frontier;
+    for (const rql::RqlQuery* source : frontier) {
       WFRM_ASSIGN_OR_RETURN(std::vector<rql::RqlQuery> alternatives,
-                            rewriter_.RewriteSubstitution(source, round_span));
+                            rewriter_.RewriteSubstitution(*source, round_span));
       for (rql::RqlQuery& alt : alternatives) {
-        if (!seen_alternatives.insert(alt.ToString()).second) continue;
+        std::string key = Rewriter::EnforcementKey(alt);
+        if (!seen_alternatives.insert(key).second) continue;
         // Each alternative re-enters the primary pipeline (§2.1).
-        WFRM_ASSIGN_OR_RETURN(EnforcedQueries enforced,
-                              EnforcePrimary(alt, round_span));
-        for (size_t i = 0; i < enforced.queries.size(); ++i) {
-          if (!seen_enforced.insert(enforced.queries[i].ToString()).second) {
-            continue;
+        WFRM_ASSIGN_OR_RETURN(
+            std::shared_ptr<const PreparedEnforcement> entry,
+            Prepare(std::move(alt), key, /*probe=*/true, round_span));
+        for (const PreparedScan& scan : entry->scans) {
+          if (seen_enforced.insert(scan.text).second) {
+            this_round.scans.push_back(&scan);
           }
-          this_round.queries.push_back(std::move(enforced.queries[i]));
-          this_round.qualified_types.push_back(
-              std::move(enforced.qualified_types[i]));
         }
-        next_frontier.push_back(std::move(alt));
+        next_frontier.push_back(&entry->query);
+        this_round.entries.push_back(std::move(entry));
       }
     }
     out.push_back(std::move(this_round));

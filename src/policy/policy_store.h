@@ -516,9 +516,9 @@ class PolicyStore {
   /// Mirrors the StoreStats counters into `registry` (counter family
   /// `wfrm_store_cache_lookups_total{cache,outcome}` plus
   /// `wfrm_store_retrievals_total`), covering the EpochCache memo tables
-  /// and the rewrite LRU. Instrument pointers are resolved once here, so
-  /// the per-probe cost is one relaxed atomic add. Call before the store
-  /// sees concurrent traffic; nullptr detaches.
+  /// and the prepared-request memo. Instrument pointers are resolved
+  /// once here, so the per-probe cost is one relaxed atomic add. Call
+  /// before the store sees concurrent traffic; nullptr detaches.
   void set_metrics(obs::MetricsRegistry* registry);
 
   size_t num_qualification_rows() const {

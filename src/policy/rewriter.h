@@ -47,10 +47,10 @@ class Rewriter {
       const rql::RqlQuery& query, obs::TraceSpan* parent = nullptr) const;
 
   /// Canonical cache key of a bound query — the text every enforcement
-  /// cache (PolicyManager's rewrite LRU, cycle protection in
-  /// EnforceAlternativesRounds) keys on. Bound queries render type and
-  /// attribute names in canonical spelling, so textual equality is
-  /// semantic equality.
+  /// cache (PolicyManager's prepared memo for bound queries, cycle
+  /// protection in PrepareAlternativesRounds) keys on. Bound queries
+  /// render type and attribute names in canonical spelling, so textual
+  /// equality is semantic equality.
   static std::string EnforcementKey(const rql::RqlQuery& query) {
     return query.ToString();
   }

@@ -46,6 +46,52 @@ struct Scope {
   const Row* prior_row = nullptr;  // Parent row for PRIOR evaluation.
 };
 
+/// The row tuples passing WHERE, one Row* per FROM relation, stored flat
+/// so a single-relation scan adds a pointer per row, not a vector.
+class JoinedRows {
+ public:
+  explicit JoinedRows(size_t width) : width_(width) {}
+
+  size_t size() const { return cells_.size() / width_; }
+  /// Tuple `j`: index it by relation.
+  const Row* const* operator[](size_t j) const { return &cells_[j * width_]; }
+
+  void Add(const Row* row) { cells_.push_back(row); }
+  void Add(const Row* left, const Row* right) {
+    cells_.push_back(left);
+    cells_.push_back(right);
+  }
+  void Add(const std::vector<const Row*>& tuple) {
+    cells_.insert(cells_.end(), tuple.begin(), tuple.end());
+  }
+
+ private:
+  size_t width_;
+  std::vector<const Row*> cells_;
+};
+
+/// One top-level WHERE conjunct of a single-relation scan. A
+/// `column op constant` comparison, in either operand order, is bound
+/// once: the constant is a literal or a [param] bound in the
+/// statement's ParamMap. Any other conjunct keeps `constant == nullptr`
+/// and goes through the interpreter.
+struct Conjunct {
+  const Expr* expr = nullptr;
+  const Value* constant = nullptr;
+  size_t column = 0;
+  BinaryOp op = BinaryOp::kEq;
+  bool column_on_left = true;
+};
+
+/// One output column of a non-aggregate projection.
+struct OutCol {
+  std::string name;
+  const Expr* expr;     // Null for star-expanded columns.
+  bool direct = false;  // Read (rel_index, col_index), no Eval.
+  size_t rel_index = 0;
+  size_t col_index = 0;
+};
+
 bool IsTrue(const Value& v) { return v.is_bool() && v.bool_value(); }
 
 /// Applies comparison `op` to a three-way Value::Compare result.
@@ -1040,7 +1086,7 @@ class Executor::Impl {
     const_scope.params = &params;
 
     // Enumerate joined rows (or hierarchy rows for CONNECT BY).
-    std::vector<std::vector<const Row*>> joined;
+    JoinedRows joined(relations.size());
     std::vector<int64_t> levels;  // Parallel to joined when connect_by.
 
     if (stmt.connect_by) {
@@ -1074,6 +1120,50 @@ class Executor::Impl {
     return Project(stmt, relations, joined, levels, outer, params);
   }
 
+  /// Runs a statement bound by BoundSelect: the same candidate rows,
+  /// bound filter and projection as ExecuteOne's single-table path, with
+  /// the binding done once per BoundSelect instead of once per call.
+  Result<ResultSet> RunBound(const SelectStatement& stmt,
+                             const ParamMap& params,
+                             const std::vector<Relation>& relations,
+                             const std::vector<Conjunct>& conjuncts,
+                             const std::vector<OutCol>& out_cols) {
+    Scope const_scope;
+    const_scope.params = &params;
+    std::vector<const Row*> candidates;
+    CollectCandidates(relations[0], stmt.where.get(), const_scope,
+                      &candidates);
+    JoinedRows joined(1);
+    WFRM_RETURN_NOT_OK(FilterBound(conjuncts, relations, candidates, nullptr,
+                                   params, &joined));
+    return EmitRows(out_cols, relations, joined, {}, nullptr, params);
+  }
+
+  /// The rows of `rel` a scan visits: an index access path when `where`
+  /// allows one (single-table scans only), otherwise every row.
+  void CollectCandidates(const Relation& rel, const Expr* where,
+                         const Scope& const_scope,
+                         std::vector<const Row*>* out) {
+    std::optional<std::vector<RowId>> rids;
+    if (where != nullptr) rids = TryIndexAccess(rel, where, const_scope);
+    if (rids) {
+      for (RowId rid : *rids) {
+        if (rel.table->IsLive(rid)) out->push_back(&rel.table->row(rid));
+      }
+    } else if (rel.table != nullptr) {
+      out->reserve(rel.table->num_rows());
+      rel.table->ForEach([&](RowId, const Row& row) {
+        out->push_back(&row);
+        ++exec_.stats_.rows_scanned;
+      });
+    } else {
+      for (const Row& row : *rel.materialized) {
+        out->push_back(&row);
+        ++exec_.stats_.rows_scanned;
+      }
+    }
+  }
+
   /// Enumerates the rows (or row tuples) passing WHERE: a bound scan for
   /// a single relation, which may take an index access path, a hash join
   /// for two-relation equi-joins, otherwise a nested loop with WHERE
@@ -1081,7 +1171,7 @@ class Executor::Impl {
   Status JoinRelations(const SelectStatement& stmt,
                        const std::vector<Relation>& relations,
                        const Scope* outer, const ParamMap& params,
-                       std::vector<std::vector<const Row*>>* joined) {
+                       JoinedRows* joined) {
     Scope const_scope;
     const_scope.parent = outer;
     const_scope.params = &params;
@@ -1089,33 +1179,14 @@ class Executor::Impl {
     // Candidate row lists per relation.
     std::vector<std::vector<const Row*>> candidates(relations.size());
     for (size_t i = 0; i < relations.size(); ++i) {
-      const Relation& rel = relations[i];
-      std::optional<std::vector<RowId>> rids;
-      if (i == 0 && relations.size() == 1) {
-        rids = TryIndexAccess(rel, stmt.where.get(), const_scope);
-      }
-      if (rids) {
-        for (RowId rid : *rids) {
-          if (rel.table->IsLive(rid)) {
-            candidates[i].push_back(&rel.table->row(rid));
-          }
-        }
-      } else if (rel.table != nullptr) {
-        rel.table->ForEach([&](RowId, const Row& row) {
-          candidates[i].push_back(&row);
-          ++exec_.stats_.rows_scanned;
-        });
-      } else {
-        for (const Row& row : *rel.materialized) {
-          candidates[i].push_back(&row);
-          ++exec_.stats_.rows_scanned;
-        }
-      }
+      CollectCandidates(relations[i],
+                        relations.size() == 1 ? stmt.where.get() : nullptr,
+                        const_scope, &candidates[i]);
     }
 
     if (relations.size() == 1) {
-      return BoundScan(stmt.where.get(), relations, candidates[0], outer,
-                       params, joined);
+      return FilterBound(BindConjuncts(stmt.where.get(), relations, params),
+                         relations, candidates[0], outer, params, joined);
     }
 
     // Two-relation equi-joins (the Figure 15 Relevant_Policies ⋈
@@ -1152,7 +1223,7 @@ class Executor::Impl {
           if (!IsTrue(v.ValueOrDie())) return;
         }
         ++exec_.stats_.rows_filtered;
-        joined->push_back(current);
+        joined->Add(current);
         return;
       }
       for (const Row* row : candidates[depth]) {
@@ -1184,19 +1255,6 @@ class Executor::Impl {
     return found;
   }
 
-  /// One top-level WHERE conjunct of a single-relation scan. A
-  /// `column op constant` comparison, in either operand order, is bound
-  /// once: the constant is a literal or a [param] bound in the
-  /// statement's ParamMap. Any other conjunct keeps `constant == nullptr`
-  /// and goes through the interpreter.
-  struct Conjunct {
-    const Expr* expr = nullptr;
-    const Value* constant = nullptr;
-    size_t column = 0;
-    BinaryOp op = BinaryOp::kEq;
-    bool column_on_left = true;
-  };
-
   static Conjunct BindConjunct(const Expr& e,
                                const std::vector<Relation>& relations,
                                const ParamMap& params) {
@@ -1224,15 +1282,14 @@ class Executor::Impl {
     return c;
   }
 
-  /// Filters one relation's candidate rows by WHERE, resolved once per
-  /// execution instead of once per row: the top-level And tree flattens
-  /// in order into conjuncts, bound ones compare a cell with their
-  /// constant in place, and the rest are interpreted in one reused
-  /// Scope. Row order, stats and status match the interpreter.
-  Status BoundScan(const Expr* where, const std::vector<Relation>& relations,
-                   const std::vector<const Row*>& candidates,
-                   const Scope* outer, const ParamMap& params,
-                   std::vector<std::vector<const Row*>>* joined) {
+  /// The bind half of a single-relation scan: WHERE resolved once
+  /// instead of once per row. The top-level And tree flattens in order
+  /// into conjuncts; `column op constant` ones bind to a cell and a
+  /// constant. Binding never fails: whatever does not bind is
+  /// interpreted per row, where the interpreter reports its errors.
+  static std::vector<Conjunct> BindConjuncts(
+      const Expr* where, const std::vector<Relation>& relations,
+      const ParamMap& params) {
     std::vector<Conjunct> conjuncts;
     if (where != nullptr) {
       std::vector<const Expr*> leaves;
@@ -1242,6 +1299,18 @@ class Executor::Impl {
         conjuncts.push_back(BindConjunct(*leaf, relations, params));
       }
     }
+    return conjuncts;
+  }
+
+  /// The run half: filters one relation's candidate rows by the bound
+  /// conjuncts, comparing bound ones in place and interpreting the rest
+  /// in one reused Scope. Row order, stats and status match the
+  /// interpreter.
+  Status FilterBound(const std::vector<Conjunct>& conjuncts,
+                     const std::vector<Relation>& relations,
+                     const std::vector<const Row*>& candidates,
+                     const Scope* outer, const ParamMap& params,
+                     JoinedRows* joined) {
     Scope scope;
     scope.parent = outer;
     scope.params = &params;
@@ -1252,7 +1321,7 @@ class Executor::Impl {
       WFRM_ASSIGN_OR_RETURN(bool keep, Matches(conjuncts, *row, scope));
       if (!keep) continue;
       ++exec_.stats_.rows_filtered;
-      joined->push_back({row});
+      joined->Add(row);
     }
     return Status::OK();
   }
@@ -1335,7 +1404,7 @@ class Executor::Impl {
                   const std::vector<std::vector<const Row*>>& candidates,
                   const std::vector<std::pair<size_t, size_t>>& keys,
                   const Scope* outer, const ParamMap& params,
-                  std::vector<std::vector<const Row*>>* joined) {
+                  JoinedRows* joined) {
     std::map<IndexKey, std::vector<const Row*>, IndexKeyLess> inner;
     for (const Row* row : candidates[1]) {
       IndexKey key;
@@ -1381,7 +1450,7 @@ class Executor::Impl {
         WFRM_ASSIGN_OR_RETURN(Value v, Eval(*stmt.where, scope));
         if (!IsTrue(v)) continue;
         ++exec_.stats_.rows_filtered;
-        joined->push_back({lrow, rrow});
+        joined->Add(lrow, rrow);
       }
     }
     return Status::OK();
@@ -1392,8 +1461,7 @@ class Executor::Impl {
   /// the CONNECT BY condition with PRIOR bound to the parent.
   Status RunConnectBy(const SelectStatement& stmt, const Relation& rel,
                       const Scope* outer, const ParamMap& params,
-                      std::vector<std::vector<const Row*>>* joined,
-                      std::vector<int64_t>* levels) {
+                      JoinedRows* joined, std::vector<int64_t>* levels) {
     const ConnectByClause& cb = *stmt.connect_by;
     // Materialize candidate rows once.
     std::vector<const Row*> all;
@@ -1441,7 +1509,7 @@ class Executor::Impl {
       }
       if (keep) {
         ++exec_.stats_.rows_filtered;
-        joined->push_back({row});
+        joined->Add(row);
         levels->push_back(level);
       }
       // Expand children.
@@ -1460,21 +1528,11 @@ class Executor::Impl {
     return Status::OK();
   }
 
-  /// Output schema + row synthesis for the non-aggregate case.
-  Result<ResultSet> Project(const SelectStatement& stmt,
-                            const std::vector<Relation>& relations,
-                            const std::vector<std::vector<const Row*>>& joined,
-                            const std::vector<int64_t>& levels,
-                            const Scope* outer, const ParamMap& params) {
-    ResultSet rs;
-    // Expand the select list: star becomes every column of every relation.
-    struct OutCol {
-      std::string name;
-      const Expr* expr;          // Null for star-expanded columns.
-      bool direct = false;       // Read (rel_index, col_index), no Eval.
-      size_t rel_index = 0;
-      size_t col_index = 0;
-    };
+  /// The bind half of a projection: the select list expanded (star
+  /// becomes every column of every relation) and plain column items
+  /// resolved to a (relation, column) cell, unless LEVEL is in scope.
+  static std::vector<OutCol> BindProjection(
+      const SelectStatement& stmt, const std::vector<Relation>& relations) {
     std::vector<OutCol> out_cols;
     for (const SelectItem& item : stmt.items) {
       if (item.is_star) {
@@ -1490,8 +1548,8 @@ class Executor::Impl {
       if (item.expr->kind() == Expr::Kind::kColumnRef) {
         const auto& ref = static_cast<const ColumnRefExpr&>(*item.expr);
         if (oc.name.empty()) oc.name = ref.name();
-        // Plain column items resolve once, unless LEVEL is in scope.
-        const bool is_level = !levels.empty() && ref.qualifier().empty() &&
+        const bool is_level = stmt.connect_by.has_value() &&
+                              ref.qualifier().empty() &&
                               EqualsIgnoreCase(ref.name(), "level");
         if (auto col = ResolveLocalColumn(ref, relations); col && !is_level) {
           oc.direct = true;
@@ -1503,7 +1561,18 @@ class Executor::Impl {
       }
       out_cols.push_back(std::move(oc));
     }
+    return out_cols;
+  }
 
+  /// The run half: one output row per joined tuple, then the schema —
+  /// inferred from the values, with star-expanded columns keeping their
+  /// declared types.
+  Result<ResultSet> EmitRows(const std::vector<OutCol>& out_cols,
+                             const std::vector<Relation>& relations,
+                             const JoinedRows& joined,
+                             const std::vector<int64_t>& levels,
+                             const Scope* outer, const ParamMap& params) {
+    ResultSet rs;
     Scope scope;
     scope.parent = outer;
     scope.params = &params;
@@ -1532,22 +1601,32 @@ class Executor::Impl {
 
     rs.schema = InferSchema(out_cols.size(), rs.rows,
                             [&](size_t i) { return out_cols[i].name; });
-    // Star-expanded columns can carry their true declared types.
-    {
-      size_t i = 0;
-      Schema fixed;
-      for (const OutCol& oc : out_cols) {
-        if (oc.expr == nullptr) {
-          fixed.AddColumn({oc.name,
-                           relations[oc.rel_index].schema.column(oc.col_index)
-                               .type});
-        } else {
-          fixed.AddColumn(rs.schema.column(i));
-        }
-        ++i;
+    size_t i = 0;
+    Schema fixed;
+    for (const OutCol& oc : out_cols) {
+      if (oc.expr == nullptr) {
+        fixed.AddColumn(
+            {oc.name,
+             relations[oc.rel_index].schema.column(oc.col_index).type});
+      } else {
+        fixed.AddColumn(rs.schema.column(i));
       }
-      rs.schema = std::move(fixed);
+      ++i;
     }
+    rs.schema = std::move(fixed);
+    return rs;
+  }
+
+  /// Output schema + row synthesis for the non-aggregate case.
+  Result<ResultSet> Project(const SelectStatement& stmt,
+                            const std::vector<Relation>& relations,
+                            const JoinedRows& joined,
+                            const std::vector<int64_t>& levels,
+                            const Scope* outer, const ParamMap& params) {
+    WFRM_ASSIGN_OR_RETURN(
+        ResultSet rs,
+        EmitRows(BindProjection(stmt, relations), relations, joined, levels,
+                 outer, params));
 
     // ORDER BY for plain selects: keys resolve against the output row
     // first (aliases), then fall back to the source row, so both
@@ -1586,7 +1665,7 @@ class Executor::Impl {
   /// GROUP BY + aggregate evaluation.
   Result<ResultSet> Aggregate(const SelectStatement& stmt,
                               const std::vector<Relation>& relations,
-                              const std::vector<std::vector<const Row*>>& joined,
+                              const JoinedRows& joined,
                               const std::vector<int64_t>& levels,
                               const Scope* outer, const ParamMap& params) {
     // Validate select items.
@@ -1775,6 +1854,8 @@ class Executor::Impl {
     rs->rows = std::move(unique);
   }
 
+  friend class BoundSelect;
+
   const Executor& exec_;
   const Database& db_;
   /// Per-execution memo of materialized view snapshots (top-level,
@@ -1788,6 +1869,50 @@ class Executor::Impl {
                      CaseInsensitiveEq>
       view_memo_;
 };
+
+struct BoundSelect::Plan {
+  std::vector<Relation> relations;  // The one base table.
+  std::vector<Conjunct> conjuncts;
+  std::vector<OutCol> out_cols;
+};
+
+BoundSelect::BoundSelect(const Database& db, SelectPtr stmt, ParamMap params)
+    : stmt_(std::move(stmt)),
+      params_(std::move(params)),
+      db_(&db),
+      catalog_version_(db.catalog_version()) {
+  const SelectStatement& s = *stmt_;
+  const bool aggregate =
+      !s.group_by.empty() ||
+      std::any_of(s.items.begin(), s.items.end(), [](const SelectItem& it) {
+        return it.aggregate != AggregateFn::kNone;
+      });
+  if (s.from.size() != 1 || s.connect_by || aggregate || s.having ||
+      s.distinct || !s.order_by.empty() || s.limit || s.union_next) {
+    return;
+  }
+  const Table* table = db.GetTable(s.from[0].name);
+  if (table == nullptr) return;  // A view or a missing relation.
+  auto plan = std::make_unique<Plan>();
+  plan->relations.push_back(
+      Relation{s.from[0].BindingName(), table->schema(), table, nullptr});
+  plan->conjuncts =
+      Executor::Impl::BindConjuncts(s.where.get(), plan->relations, params_);
+  plan->out_cols = Executor::Impl::BindProjection(s, plan->relations);
+  plan_ = std::move(plan);
+}
+
+BoundSelect::~BoundSelect() = default;
+
+Result<ResultSet> BoundSelect::Run(const Executor& exec) const {
+  if (plan_ == nullptr || exec.db_ != db_ ||
+      db_->catalog_version() != catalog_version_) {
+    return exec.Execute(*stmt_, params_);
+  }
+  Executor::Impl impl(exec);
+  return impl.RunBound(*stmt_, params_, plan_->relations, plan_->conjuncts,
+                       plan_->out_cols);
+}
 
 Result<ResultSet> Executor::Query(std::string_view sql,
                                   const ParamMap& params) const {

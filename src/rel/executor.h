@@ -99,10 +99,49 @@ class Executor {
  private:
   class Impl;
   friend class Impl;
+  friend class BoundSelect;
 
   const Database* db_;
   ExecOptions options_;
   mutable ExecStats stats_;
+};
+
+/// A SELECT bound once and run many times. Binding resolves a
+/// single-table statement's relation, its top-level WHERE conjuncts
+/// (`column op constant` comparisons become fixed cell checks) and its
+/// projection against the catalog; every Run reads the table's live rows
+/// through the same scan the executor uses for its own single-table
+/// statements. The statement and parameters are owned, so bound
+/// constants live as long as the object.
+///
+/// Statements outside that shape (joins, views, CONNECT BY, aggregates,
+/// DISTINCT, ORDER BY, LIMIT, UNION), and any Run after the catalog
+/// changed, go through Executor::Execute instead. Either way Run returns
+/// exactly what Execute(stmt(), params()) would: rows, order, schema and
+/// status. Construct while holding whatever lock guards the catalog
+/// against writers; Run needs the same lock as Execute.
+class BoundSelect {
+ public:
+  BoundSelect(const Database& db, SelectPtr stmt, ParamMap params);
+  ~BoundSelect();
+  BoundSelect(const BoundSelect&) = delete;
+  BoundSelect& operator=(const BoundSelect&) = delete;
+
+  Result<ResultSet> Run(const Executor& exec) const;
+
+  const SelectStatement& stmt() const { return *stmt_; }
+  const ParamMap& params() const { return params_; }
+  /// True when Run takes the bound scan rather than Execute.
+  bool bound() const { return plan_ != nullptr; }
+
+ private:
+  struct Plan;
+
+  SelectPtr stmt_;
+  ParamMap params_;
+  const Database* db_;
+  uint64_t catalog_version_;
+  std::unique_ptr<const Plan> plan_;
 };
 
 }  // namespace wfrm::rel

@@ -286,11 +286,8 @@ std::vector<BatchItemResult> ShardRouter::EnforceBatch(
         }
         breaker_success = false;
       } else {
-        outcomes = tctx != nullptr
-                       ? primary->rm().SubmitBatch(
-                             texts, options_.workers_per_shard, *tctx)
-                       : primary->rm().SubmitBatch(
-                             texts, options_.workers_per_shard);
+        outcomes = primary->EnforceBatch(texts, options_.workers_per_shard,
+                                         tctx);
       }
       bool abandoned;
       {
@@ -408,9 +405,7 @@ Result<core::QueryOutcome> ShardRouter::Enforce(std::string_view routing_key,
     return Status::Degraded("shard " + std::to_string(shard) +
                             " degraded: " + primary->degraded_reason());
   }
-  Result<core::QueryOutcome> out =
-      ctx != nullptr ? primary->rm().Submit(rql, *ctx)
-                     : primary->rm().Submit(rql);
+  Result<core::QueryOutcome> out = primary->Enforce(rql, ctx);
   // A dead request's typed abort says nothing about shard health.
   if (out.ok() || (out.status().code() != StatusCode::kDeadlineExceeded &&
                    out.status().code() != StatusCode::kCancelled)) {

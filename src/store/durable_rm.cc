@@ -601,6 +601,26 @@ Result<core::QueryOutcome> DurableResourceManager::EnforceUnlocked(
   return SubmitUnder(*rm_, rql_text, ctx);
 }
 
+Result<core::QueryOutcome> DurableResourceManager::Enforce(
+    std::string_view rql_text, const RequestContext* ctx) {
+  std::shared_lock<std::shared_mutex> world(world_mu_);
+  WFRM_RETURN_NOT_OK(EnsureOrgHydrated());
+  return SubmitUnder(*rm_, rql_text, ctx);
+}
+
+std::vector<Result<core::QueryOutcome>> DurableResourceManager::EnforceBatch(
+    const std::vector<std::string>& rql_texts, size_t num_workers,
+    const RequestContext* ctx) {
+  std::shared_lock<std::shared_mutex> world(world_mu_);
+  Status hydrated = EnsureOrgHydrated();
+  if (!hydrated.ok()) {
+    return std::vector<Result<core::QueryOutcome>>(rql_texts.size(),
+                                                   hydrated);
+  }
+  return ctx != nullptr ? rm_->SubmitBatch(rql_texts, num_workers, *ctx)
+                        : rm_->SubmitBatch(rql_texts, num_workers);
+}
+
 Result<core::Lease> DurableResourceManager::AcquireImpl(
     std::string_view rql_text, const RequestContext* ctx) {
   for (int round = 1;; ++round) {

@@ -170,6 +170,19 @@ class DurableResourceManager {
   Result<core::Lease> RenewLease(const core::Lease& lease);
   size_t ReapExpired();
 
+  // ---- Reads --------------------------------------------------------------
+
+  /// Enforces `rql_text` against this home without claiming anything:
+  /// the routed read path. The world lock is held shared for the call,
+  /// so a catch-up install cannot free the world (and its prepared
+  /// entries) under the read; the home lock is not taken.
+  Result<core::QueryOutcome> Enforce(std::string_view rql_text,
+                                     const RequestContext* ctx = nullptr);
+  /// ResourceManager::SubmitBatch under the same shared world lock.
+  std::vector<Result<core::QueryOutcome>> EnforceBatch(
+      const std::vector<std::string>& rql_texts, size_t num_workers,
+      const RequestContext* ctx = nullptr);
+
   // ---- Checkpointing ----------------------------------------------------
 
   /// Commits everything since the last checkpoint into pages.db (policy

@@ -382,17 +382,29 @@ Status Pager::Commit(std::string_view app_meta) {
   next_free.erase(std::unique(next_free.begin(), next_free.end()),
                   next_free.end());
 
-  // Serialize the list into chain pages appended at the end of the file:
-  // extension pages are never referenced by the previous meta, so a torn
-  // write here cannot damage the committed state. The chain pages are
-  // recorded as allocated, which keeps them out of their own list.
+  // Serialize the list into chain pages taken from free_pages_, which
+  // the previous meta does not reference (durably free, or allocated and
+  // freed in this generation), so a torn write here cannot damage the
+  // committed state; the file grows only once they run out. Pending and
+  // live-chain pages are still referenced and never serve. A chain page
+  // leaves the list it stores, and the next commit frees it again.
   const uint32_t ps = options_.page_size;
   const size_t per_page = (ps - 12) / 8;
-  const size_t chain_len =
-      next_free.empty() ? 0 : (next_free.size() + per_page - 1) / per_page;
+  std::vector<uint64_t> reusable = free_pages_;
   std::vector<uint64_t> chain_pids;
-  chain_pids.reserve(chain_len);
-  for (size_t i = 0; i < chain_len; ++i) chain_pids.push_back(page_count_++);
+  while (chain_pids.size() * per_page < next_free.size()) {
+    if (reusable.empty()) {
+      chain_pids.push_back(page_count_++);
+      continue;
+    }
+    const uint64_t pid = reusable.back();
+    reusable.pop_back();
+    auto it = std::lower_bound(next_free.begin(), next_free.end(), pid);
+    if (it == next_free.end() || *it != pid) continue;  // Taken already.
+    next_free.erase(it);
+    chain_pids.push_back(pid);
+  }
+  const size_t chain_len = chain_pids.size();
   for (size_t i = 0; i < chain_len; ++i) {
     std::string page;
     page.reserve(ps);

@@ -78,8 +78,11 @@ class PageRef {
 /// generation. AllocPage hands out only pages from the durable free
 /// list or fresh file extension; FreePage on a previously-durable page
 /// parks it on a pending list that becomes allocatable only after the
-/// next commit. Torn data-page writes therefore only ever corrupt
-/// pages the durable meta does not reference.
+/// next commit. Commit writes the new free-list chain into pages of
+/// that same allocatable list and extends the file only when it is
+/// empty, so the list and the file stay bounded across commits. Torn
+/// data-page writes therefore only ever corrupt pages the durable meta
+/// does not reference.
 class Pager {
  public:
   static Result<std::unique_ptr<Pager>> Open(const std::string& path,

@@ -1,11 +1,21 @@
 #include "analysis/workflow_analyzer.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
+#include <filesystem>
+#include <map>
 #include <memory>
+#include <mutex>
+#include <set>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "analysis/workflow_spec.h"
+#include "store/durable_rm.h"
 #include "testutil/paper_org.h"
 
 namespace wfrm::analysis {
@@ -214,6 +224,149 @@ TEST_F(WorkflowAnalyzerTest, ReportRendersWitnessAndCandidates) {
   EXPECT_NE(text.find("Programmer:quinn (substitute, cost 1)"),
             std::string::npos)
       << text;
+}
+
+// Analysis only reads the manager, also beside real traffic: Analyze
+// with the substitution tier runs against a durable home's rm() while
+// four threads Acquire and Release and a fifth checkpoints. The journal
+// holds exactly the acquirers' records, a reopen restores exactly their
+// ledger, and no acquirer is handed a substitute: eight primaries serve
+// four acquirers, so the tier the analysis coaxes out (every primary
+// treated as busy) must never leak into the allocation table.
+TEST(AnalyzerConcurrencyTest, AnalyzeBesideDurableAcquireTrafficIsReadOnly) {
+  std::string rdl =
+      "Define Resource Type Programmer (Location String, Experience Int);\n"
+      "Define Activity Type Programming (NumberOfLines Int);\n";
+  for (int i = 0; i < 8; ++i) {
+    rdl += "Insert Resource Programmer 'pa" + std::to_string(i) +
+           "' (Location = 'PA', Experience = " + std::to_string(6 + i) +
+           ");\n";
+  }
+  rdl += "Insert Resource Programmer 'cu0' (Location = 'Cupertino', "
+         "Experience = 9);\n";
+  rdl += "Insert Resource Programmer 'cu1' (Location = 'Cupertino', "
+         "Experience = 9);\n";
+  const std::string pl =
+      "Qualify Programmer For Programming;\n"
+      "Require Programmer Where Experience > 5 For Programming "
+      "With NumberOfLines > 100;\n"
+      "Substitute Programmer Where Location = 'PA' "
+      "By Programmer Where Location = 'Cupertino' For Programming "
+      "With NumberOfLines < 50000;\n";
+  const std::string job =
+      "Select Id From Programmer Where Location = 'PA' "
+      "For Programming With NumberOfLines = 20000";
+
+  std::string tmpl =
+      (std::filesystem::temp_directory_path() / "wfrm_analyzer_cc_XXXXXX")
+          .string();
+  ASSERT_NE(::mkdtemp(tmpl.data()), nullptr);
+  const std::string dir = tmpl;
+  store::DurableOptions options;
+  options.fsync_mode = store::FsyncMode::kOff;
+  auto opened = store::DurableResourceManager::Open(dir, options);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  std::unique_ptr<store::DurableResourceManager> home = std::move(*opened);
+  ASSERT_TRUE(home->ExecuteRdl(rdl).ok());
+  ASSERT_TRUE(home->AddPolicyText(pl).ok());
+
+  // The caches-off primary answer, taken before any lease is held.
+  std::set<std::string> primaries;
+  {
+    home->store().set_cache_enabled(false);
+    auto answer = home->rm().Submit(job);
+    home->store().set_cache_enabled(true);
+    ASSERT_TRUE(answer.ok() && answer->ok());
+    ASSERT_FALSE(answer->used_substitution);
+    for (const org::ResourceRef& ref : answer->candidates) {
+      primaries.insert(ref.ToString());
+    }
+    ASSERT_EQ(primaries.size(), 8u);
+  }
+
+  const uint64_t seq_before = home->last_seq();
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> records{0};
+  std::mutex ledger_mu;
+  std::map<std::string, uint64_t> ledger;  // Resource -> lease id held.
+  std::vector<std::string> errors;
+  auto note_error = [&](const std::string& e) {
+    std::lock_guard<std::mutex> lock(ledger_mu);
+    errors.push_back(e);
+  };
+  std::vector<std::thread> acquirers;
+  for (int t = 0; t < 4; ++t) {
+    acquirers.emplace_back([&] {
+      while (!stop.load()) {
+        auto lease = home->Acquire(job);
+        if (!lease.ok()) {
+          note_error("acquire: " + lease.status().ToString());
+          return;
+        }
+        ++records;
+        const std::string key = lease->resource.ToString();
+        if (primaries.count(key) == 0) note_error("granted " + key);
+        {
+          std::lock_guard<std::mutex> lock(ledger_mu);
+          ledger[key] = lease->id;
+        }
+        if (stop.load()) return;  // Keep the last grant held.
+        {
+          std::lock_guard<std::mutex> lock(ledger_mu);
+          ledger.erase(key);
+        }
+        Status released = home->Release(*lease);
+        if (!released.ok()) {
+          note_error("release: " + released.ToString());
+          return;
+        }
+        ++records;
+      }
+    });
+  }
+  std::thread checkpointer([&] {
+    while (!stop.load()) {
+      Status st = home->Checkpoint();
+      if (!st.ok()) note_error("checkpoint: " + st.ToString());
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+  });
+
+  auto spec = ParseWorkflowSpec("Workflow Pair;\nTask a: " + job +
+                                ";\nTask b: " + job + ";\nSeparate a, b;\n");
+  ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+  AnalysisOptions analysis;
+  analysis.include_substitution_tier = true;
+  WorkflowAnalyzer analyzer(&home->rm(), analysis);
+  bool saw_substitute = false;
+  // At least 60 analyses, and on until the acquirers journaled 200
+  // records beside them.
+  for (int i = 0; i < 60 || (records.load() < 200 && i < 100000); ++i) {
+    auto report = analyzer.Analyze(*spec);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    for (const WspCandidate& c : report->candidates[0].candidates) {
+      saw_substitute = saw_substitute || c.cost > 0;
+    }
+  }
+  stop = true;
+  for (std::thread& t : acquirers) t.join();
+  checkpointer.join();
+  for (const std::string& e : errors) ADD_FAILURE() << e;
+  EXPECT_TRUE(saw_substitute) << "the substitution tier did not run";
+  EXPECT_GE(records.load(), 200u);
+  EXPECT_EQ(home->last_seq() - seq_before, records.load());
+
+  home.reset();
+  auto reopened = store::DurableResourceManager::Open(dir, options);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  std::map<std::string, uint64_t> restored;
+  for (const core::Lease& lease : (*reopened)->rm().ListLeases()) {
+    restored[lease.resource.ToString()] = lease.id;
+  }
+  EXPECT_EQ(restored, ledger);
+  reopened->reset();
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <unordered_set>
 
 namespace wfrm {
@@ -19,6 +20,18 @@ TEST(StringsTest, EqualsIgnoreCase) {
   EXPECT_FALSE(EqualsIgnoreCase("Engineer", "Engineers"));
   EXPECT_FALSE(EqualsIgnoreCase("abc", "abd"));
   EXPECT_TRUE(EqualsIgnoreCase("", ""));
+}
+
+TEST(StringsTest, CompareIgnoreCaseOrdersLikeLoweredStrings) {
+  const char* words[] = {"", "a", "A", "ab", "aB", "b", "_x", "Zeta",
+                         "zeta", "Role12", "role2", "\xe9t\xc9"};
+  for (const char* a : words) {
+    for (const char* b : words) {
+      const std::string la = AsciiToLower(a), lb = AsciiToLower(b);
+      const int want = la < lb ? -1 : (lb < la ? 1 : 0);
+      EXPECT_EQ(CompareIgnoreCase(a, b), want) << a << " vs " << b;
+    }
+  }
 }
 
 TEST(StringsTest, StripWhitespace) {

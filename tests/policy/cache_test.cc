@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "policy/policy_manager.h"
 #include "policy/policy_store.h"
 #include "rql/rql.h"
@@ -217,6 +220,43 @@ TEST_F(CacheTest, RewriteLruServesAndInvalidatesWholeEnforcements) {
     }
   }
   EXPECT_TRUE(saw_new_conjunct) << "rewrite LRU served a stale enforcement";
+}
+
+TEST_F(CacheTest, RewriteMemoEvictsTheLeastRecentlyUsedEntry) {
+  PolicyManager pm(org_.get(), store_.get(), /*rewrite_cache_capacity=*/3);
+  std::vector<rql::RqlQuery> queries;
+  for (int lines : {20000, 30000, 40000, 45000, 46000}) {
+    auto q = rql::ParseAndBindRql(
+        "Select ContactInfo From Engineer Where Location = 'PA' "
+        "For Programming With NumberOfLines = " +
+            std::to_string(lines) + " And Location = 'Mexico'",
+        *org_);
+    ASSERT_TRUE(q.ok()) << q.status().ToString();
+    queries.push_back(std::move(*q));
+  }
+  auto hit = [&](const rql::RqlQuery& q) {
+    const uint64_t before = store_->stats().Snapshot().rewrite_cache_hits;
+    EXPECT_TRUE(pm.EnforcePrimaryShared(q).ok());
+    return store_->stats().Snapshot().rewrite_cache_hits == before + 1;
+  };
+  // Fill with 0, 1, 2; touch 0 and 1, so 2 is least recent; 3 evicts 2.
+  for (int i = 0; i < 3; ++i) EXPECT_FALSE(hit(queries[i]));
+  EXPECT_TRUE(hit(queries[0]));
+  EXPECT_TRUE(hit(queries[1]));
+  EXPECT_FALSE(hit(queries[3]));
+  EXPECT_EQ(pm.rewrite_cache_size(), 3u);
+  // 2 was evicted (its miss now evicts 0, the least recent), 1 and 3
+  // stayed.
+  EXPECT_FALSE(hit(queries[2]));
+  EXPECT_TRUE(hit(queries[1]));
+  EXPECT_TRUE(hit(queries[3]));
+  EXPECT_FALSE(hit(queries[0]));
+  // A refreshed entry outlives an older one when a new key arrives.
+  EXPECT_TRUE(hit(queries[1]));
+  EXPECT_FALSE(hit(queries[4]));
+  EXPECT_TRUE(hit(queries[1]));
+  EXPECT_FALSE(hit(queries[3]));
+  EXPECT_EQ(pm.rewrite_cache_size(), 3u);
 }
 
 TEST_F(CacheTest, DisablingTheCacheBypassesIt) {

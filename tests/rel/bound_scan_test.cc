@@ -2,12 +2,14 @@
 // single-relation SELECT resolves its WHERE once per execution: the
 // top-level And tree flattens into conjuncts, `column op constant`
 // comparisons become fixed checks and everything else is interpreted.
-// The oracle is the same WHERE over `From T, One`, where One is a
-// one-row table sharing no column name with T; two relations keep that
-// query on the nested-loop interpreter.
+// BoundSelect does that binding once per statement and runs it many
+// times over live rows. The oracle is the same WHERE over `From T, One`,
+// where One is a one-row table sharing no column name with T; two
+// relations keep that query on the nested-loop interpreter.
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <random>
 #include <string>
 #include <vector>
@@ -33,20 +35,8 @@ class BoundScanTest : public ::testing::Test {
     // Like the org resource tables: a hash index only, no ordered one.
     ASSERT_TRUE(t->CreateHashIndex("T_by_id", {"Id"}).ok());
     std::mt19937 rng(7);
-    const char* strings[] = {"a", "b", "ab", "ba", "abc", ""};
     for (size_t i = 0; i < kRows; ++i) {
-      auto maybe_null = [&](Value v) {
-        return rng() % 5 == 0 ? Value::Null() : std::move(v);
-      };
-      Value x = rng() % 2 == 0
-                    ? Value::Int(static_cast<int64_t>(rng() % 10))
-                    : Value::Double(static_cast<double>(rng() % 20) / 2);
-      Row row = {Value::Int(static_cast<int64_t>(i)),
-                 Value::Int(static_cast<int64_t>(rng() % 10)),
-                 maybe_null(Value::Int(static_cast<int64_t>(rng() % 10))),
-                 maybe_null(std::move(x)),
-                 maybe_null(Value::String(strings[rng() % 6])),
-                 maybe_null(Value::Bool(rng() % 2 == 0))};
+      Row row = RandomRow(static_cast<int64_t>(i), rng);
       ASSERT_TRUE(t->Insert(row).ok());
       rows_.push_back(std::move(row));
     }
@@ -59,24 +49,84 @@ class BoundScanTest : public ::testing::Test {
     params_["pn"] = Value::Null();
   }
 
-  /// Runs `Select <items> From <from> Where <where>`.
-  Result<ResultSet> Run(const Expr* where, std::vector<std::string> from,
-                        const std::vector<std::string>& items) {
-    SelectStatement stmt;
+  /// A T row with id `id`: A never NULL; B, X, S, F sometimes NULL. X
+  /// is a double column that also stores ints.
+  static Row RandomRow(int64_t id, std::mt19937& rng) {
+    static const char* kStrings[] = {"a", "b", "ab", "ba", "abc", ""};
+    auto maybe_null = [&](Value v) {
+      return rng() % 5 == 0 ? Value::Null() : std::move(v);
+    };
+    Value x = rng() % 2 == 0
+                  ? Value::Int(static_cast<int64_t>(rng() % 10))
+                  : Value::Double(static_cast<double>(rng() % 20) / 2);
+    return {Value::Int(id),
+            Value::Int(static_cast<int64_t>(rng() % 10)),
+            maybe_null(Value::Int(static_cast<int64_t>(rng() % 10))),
+            maybe_null(std::move(x)),
+            maybe_null(Value::String(kStrings[rng() % 6])),
+            maybe_null(Value::Bool(rng() % 2 == 0))};
+  }
+
+  /// `Select <items> From <from> Where <where>`.
+  static SelectPtr MakeSelect(const Expr* where, std::vector<std::string> from,
+                              const std::vector<std::string>& items) {
+    auto stmt = std::make_unique<SelectStatement>();
     for (const std::string& item : items) {
       SelectItem si;
       auto dot = item.find('.');
       si.expr = dot == std::string::npos
                     ? MakeColumnRef(item)
                     : MakeColumnRef(item.substr(0, dot), item.substr(dot + 1));
-      stmt.items.push_back(std::move(si));
+      stmt->items.push_back(std::move(si));
     }
-    for (std::string& name : from) stmt.from.push_back(TableRef{name, ""});
-    if (where != nullptr) stmt.where = where->Clone();
+    for (std::string& name : from) stmt->from.push_back(TableRef{name, ""});
+    if (where != nullptr) stmt->where = where->Clone();
+    return stmt;
+  }
+
+  /// Runs `Select <items> From <from> Where <where>`.
+  Result<ResultSet> Run(const Expr* where, std::vector<std::string> from,
+                        const std::vector<std::string>& items) {
+    SelectPtr stmt = MakeSelect(where, std::move(from), items);
     Executor exec(&db_);
-    auto rs = exec.Execute(stmt, params_);
+    auto rs = exec.Execute(*stmt, params_);
     stats_ = exec.stats();
     return rs;
+  }
+
+  /// Binds `where` over T once and runs it three times, changing T
+  /// between runs (one row rewritten in place, an extra row inserted,
+  /// then deleted): every run must match the oracle over the live rows.
+  /// T is restored afterwards.
+  void ExpectBoundRunsTrackOracle(const Expr& where, uint32_t seed) {
+    const std::vector<std::string> items = {"Id", "A", "T.X", "S", "B", "F"};
+    Table* t = db_.GetTable("T");
+    BoundSelect bound(db_, MakeSelect(&where, {"T"}, items), params_);
+    ASSERT_TRUE(bound.bound());
+    std::mt19937 rng(seed);
+    const RowId changed = rng() % kRows;
+    std::optional<RowId> extra;
+    for (int run = 0; run < 3; ++run) {
+      Executor exec(&db_);
+      auto got = bound.Run(exec);
+      auto want = Run(&where, {"T", "One"}, items);
+      ASSERT_EQ(got.status().ToString(), want.status().ToString())
+          << "run " << run << " Where " << where.ToString();
+      if (got.ok()) {
+        ASSERT_EQ(got->schema.ToString(), want->schema.ToString());
+        ASSERT_EQ(got->rows, want->rows)
+            << "run " << run << " Where " << where.ToString();
+      }
+      if (run == 0) {
+        ASSERT_TRUE(
+            t->Update(changed, RandomRow(static_cast<int64_t>(changed), rng))
+                .ok());
+        extra = *t->Insert(RandomRow(kRows, rng));
+      } else if (run == 1) {
+        ASSERT_TRUE(t->Delete(*extra).ok());
+      }
+    }
+    ASSERT_TRUE(t->Update(changed, rows_[changed]).ok());
   }
 
   /// Checks the bound scan against the nested-loop oracle: same status
@@ -274,6 +324,8 @@ TEST_F(BoundScanTest, RandomAndTreesMatchNestedLoopOracle) {
     ExprPtr where = gen.Tree();
     SCOPED_TRACE("seed " + std::to_string(seed));
     ExpectSameAsOracle(*where);
+    if (HasFatalFailure()) return;
+    ExpectBoundRunsTrackOracle(*where, seed);
     if (HasFatalFailure()) return;
   }
   // The generator must not make every query fail.

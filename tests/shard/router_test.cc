@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <memory>
@@ -308,6 +309,57 @@ TEST_F(ShardRouterTest, ReadOnDegradedOptionServesStaleReads) {
   // Mutations stay refused regardless — read_on_degraded is read-only.
   EXPECT_EQ(lax_router.ExecuteRdl(t1, InsertStatement(300)).code(),
             StatusCode::kDegraded);
+}
+
+// Routed reads hold the home's world lock shared: a catch-up install
+// swaps the whole world (org, store, manager and its prepared entries)
+// under the exclusive lock, so a read racing it either finishes on the
+// old world or starts on the new one, never on a freed one. Run under
+// TSan/ASan in CI; without the lock both report the reads.
+class RouterConcurrencyTest : public ShardRouterTest {};
+
+TEST_F(RouterConcurrencyTest, RoutedReadsRaceWorldInstalls) {
+  OpenCluster(1);
+  ShardRouterOptions options;
+  options.clock = &clock_;
+  ShardRouter router(cluster_.get(), map_.get(), options);
+  const std::string tenant = TenantOn(0);
+  auto primary = cluster_->Primary(0);
+  auto image = primary->CaptureCatchupImage();
+  ASSERT_TRUE(image.ok()) << image.status().ToString();
+
+  auto answered = [](const Result<core::QueryOutcome>& r) {
+    return r.ok() && r->ok() && r->candidates.size() == 2;
+  };
+  std::atomic<bool> stop{false};
+  std::atomic<int> bad{0};
+  std::atomic<int> reads{0};
+  std::vector<std::thread> readers;
+  readers.emplace_back([&] {
+    while (!stop.load()) {
+      if (!answered(router.Enforce(tenant, kBigJob))) ++bad;
+      ++reads;
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+  });
+  readers.emplace_back([&] {
+    const std::vector<BatchItem> batch = {{tenant, kBigJob}, {tenant, kBigJob}};
+    while (!stop.load()) {
+      for (const BatchItemResult& r : router.EnforceBatch(batch)) {
+        if (!answered(r.outcome)) ++bad;
+      }
+      ++reads;
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+  });
+  for (int i = 0; i < 30; ++i) {
+    ASSERT_TRUE(primary->InstallPagedImage(image->bytes).ok());
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  stop = true;
+  for (std::thread& t : readers) t.join();
+  EXPECT_EQ(bad.load(), 0);
+  EXPECT_GT(reads.load(), 0);
 }
 
 }  // namespace
