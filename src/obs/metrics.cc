@@ -164,7 +164,11 @@ std::string RenderLabelsJson(const LabelMap& labels) {
   for (const auto& [k, v] : labels) {
     if (!first) out += ",";
     first = false;
-    out += "\"" + EscapeJson(k) + "\":\"" + EscapeJson(v) + "\"";
+    out += '"';
+    out += EscapeJson(k);
+    out += "\":\"";
+    out += EscapeJson(v);
+    out += '"';
   }
   out += "}";
   return out;

@@ -20,9 +20,9 @@ struct RelevantRequirement;
 /// encoded lower bound. A warm Enforce probe is then, per bound
 /// attribute, one binary search plus a branch-light linear scan bumping a
 /// per-entry enclosure counter — no tree walk, no SQL, no locks. The
-/// table is immutable once built and shared via shared_ptr, cached keyed
-/// by the store's mutation epoch, so any policy or hierarchy change
-/// simply abandons it.
+/// table is immutable once built and shared via shared_ptr, cached with
+/// the store's mutation epoch it was built at, so any policy or hierarchy
+/// change simply abandons it.
 class CompiledPolicyTable {
  public:
   struct AttrPartition {
@@ -43,6 +43,9 @@ class CompiledPolicyTable {
   std::vector<std::string> where_clauses;
   // Partitions sorted by attribute (probed by binary search).
   std::vector<AttrPartition> partitions;
+  /// PolicyStore::epoch() the table was built at; served only while the
+  /// epoch has not moved.
+  uint64_t epoch = 0;
 
   /// §4.2 probe over an encoded specification (canonical attribute →
   /// EncodeKey'd value): counts enclosing intervals per entry and emits

@@ -282,7 +282,10 @@ Result<std::string> PaperRetrieval::EnsureSqlShape(size_t ba, size_t br,
     std::string out = "(";
     for (size_t i = 0; i < n; ++i) {
       if (i > 0) out += ", ";
-      out += "[" + std::string(prefix) + std::to_string(i) + "]";
+      out += '[';
+      out += prefix;
+      out += std::to_string(i);
+      out += ']';
     }
     return out + ")";
   };

@@ -15,71 +15,6 @@ EnforcedQueries EnforcedQueries::Clone() const {
   return out;
 }
 
-void PolicyManager::Memo::Unlink(Node* node) {
-  (node->newer != nullptr ? node->newer->older : newest_) = node->older;
-  (node->older != nullptr ? node->older->newer : oldest_) = node->newer;
-  node->newer = node->older = nullptr;
-}
-
-void PolicyManager::Memo::LinkNewest(Node* node) {
-  node->older = newest_;
-  if (newest_ != nullptr) newest_->newer = node;
-  newest_ = node;
-  if (oldest_ == nullptr) oldest_ = node;
-}
-
-std::shared_ptr<const PreparedEnforcement> PolicyManager::Memo::Get(
-    std::string_view key, uint64_t epoch, uint64_t catalog_version,
-    CacheLookup* outcome) {
-  // A dropped entry is destroyed after the lock is released.
-  std::shared_ptr<const PreparedEnforcement> dropped;
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = map_.find(key);
-  if (it == map_.end()) {
-    *outcome = CacheLookup::kMiss;
-    return nullptr;
-  }
-  Node* node = &it->second;
-  Unlink(node);
-  if (node->entry->epoch != epoch ||
-      node->entry->catalog_version != catalog_version) {
-    dropped = std::move(node->entry);
-    map_.erase(it);
-    *outcome = CacheLookup::kStale;
-    return nullptr;
-  }
-  LinkNewest(node);
-  *outcome = CacheLookup::kHit;
-  return node->entry;
-}
-
-void PolicyManager::Memo::Put(
-    std::string_view key, std::shared_ptr<const PreparedEnforcement> entry) {
-  // A replaced or evicted entry is destroyed after the lock is released.
-  std::shared_ptr<const PreparedEnforcement> dropped;
-  std::lock_guard<std::mutex> lock(mu_);
-  auto [it, inserted] = map_.try_emplace(std::string(key));
-  Node* node = &it->second;
-  if (inserted) {
-    node->key = &it->first;
-  } else {
-    Unlink(node);
-  }
-  dropped = std::exchange(node->entry, std::move(entry));
-  LinkNewest(node);
-  if (map_.size() > capacity_) {  // One insert evicts at most one entry.
-    Node* victim = oldest_;
-    Unlink(victim);
-    dropped = std::move(victim->entry);
-    map_.erase(*victim->key);
-  }
-}
-
-size_t PolicyManager::Memo::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return map_.size();
-}
-
 Result<EnforcedQueries> PolicyManager::EnforcePrimary(
     const rql::RqlQuery& query, obs::TraceSpan* parent) const {
   WFRM_ASSIGN_OR_RETURN(std::shared_ptr<const EnforcedQueries> shared,
@@ -97,14 +32,26 @@ PolicyManager::EnforcePrimaryShared(const rql::RqlQuery& query,
   return std::shared_ptr<const EnforcedQueries>(entry, &entry->enforced);
 }
 
+std::shared_ptr<const PreparedEnforcement> PolicyManager::Probe(
+    std::string_view key, CacheLookup* outcome) const {
+  const uint64_t epoch = store_->epoch();
+  const uint64_t catalog_version = org_->db().catalog_version();
+  auto hit = memo_.Get(
+      key,
+      [&](const PreparedEnforcement& entry) {
+        return entry.epoch == epoch &&
+               entry.catalog_version == catalog_version;
+      },
+      outcome);
+  store_->NoteRewriteLookup(*outcome);
+  return hit;
+}
+
 std::shared_ptr<const PreparedEnforcement> PolicyManager::FindPrepared(
     std::string_view text) const {
   if (!memo_enabled()) return nullptr;
   CacheLookup outcome;
-  auto hit = memo_.Get(text, store_->epoch(), org_->db().catalog_version(),
-                       &outcome);
-  store_->NoteRewriteLookup(outcome);
-  return hit;
+  return Probe(text, &outcome);
 }
 
 Result<std::shared_ptr<const PreparedEnforcement>> PolicyManager::Prepare(
@@ -127,9 +74,7 @@ Result<std::shared_ptr<const PreparedEnforcement>> PolicyManager::PrepareImpl(
   bool hit = false;
   if (use_memo && probe) {
     CacheLookup outcome;
-    auto entry = memo_.Get(key, store_->epoch(),
-                           org_->db().catalog_version(), &outcome);
-    store_->NoteRewriteLookup(outcome);
+    auto entry = Probe(key, &outcome);
     obs::Attr(span, "rewrite_cache", CacheLookupName(outcome));
     if (entry != nullptr) {
       // Untraced: serve the entry. Traced: record the hit but recompute

@@ -2,17 +2,14 @@
 #define WFRM_POLICY_POLICY_MANAGER_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
+#include "common/lru_cache.h"
 #include "common/request_context.h"
 #include "common/result.h"
-#include "policy/enforcement_cache.h"
 #include "policy/rewriter.h"
 #include "rel/executor.h"
 
@@ -183,56 +180,14 @@ class PolicyManager {
   size_t rewrite_cache_size() const { return memo_.size(); }
 
  private:
-  /// Bounded LRU of prepared entries, one per key. Recency is a list
-  /// threaded through the map's own nodes, which never move, so a probe
-  /// or refresh relinks two pointers and each key is stored once.
-  class Memo {
-   public:
-    explicit Memo(size_t capacity) : capacity_(capacity) {}
-    Memo(const Memo&) = delete;
-    Memo& operator=(const Memo&) = delete;
-
-    size_t capacity() const { return capacity_; }
-
-    /// The entry under `key` if built at `epoch` and `catalog_version`,
-    /// refreshed to most recent; a stale entry is dropped in place.
-    std::shared_ptr<const PreparedEnforcement> Get(std::string_view key,
-                                                   uint64_t epoch,
-                                                   uint64_t catalog_version,
-                                                   CacheLookup* outcome);
-    /// Inserts or replaces `key` as most recent, evicting the least
-    /// recent entries beyond the capacity.
-    void Put(std::string_view key,
-             std::shared_ptr<const PreparedEnforcement> entry);
-    size_t size() const;
-
-   private:
-    struct Node {
-      std::shared_ptr<const PreparedEnforcement> entry;
-      Node* newer = nullptr;
-      Node* older = nullptr;
-      const std::string* key = nullptr;
-    };
-    struct KeyHash {
-      using is_transparent = void;
-      size_t operator()(std::string_view s) const {
-        return std::hash<std::string_view>{}(s);
-      }
-    };
-
-    void Unlink(Node* node);
-    void LinkNewest(Node* node);
-
-    const size_t capacity_;
-    mutable std::mutex mu_;
-    std::unordered_map<std::string, Node, KeyHash, std::equal_to<>> map_;
-    Node* newest_ = nullptr;
-    Node* oldest_ = nullptr;
-  };
-
   bool memo_enabled() const {
     return store_->cache_enabled() && memo_.capacity() > 0;
   }
+
+  /// Probes the memo under `key` at the current store epoch and catalog
+  /// version, counting the probe in the store's rewrite_cache_* counters.
+  std::shared_ptr<const PreparedEnforcement> Probe(std::string_view key,
+                                                   CacheLookup* outcome) const;
 
   /// Prepare for a query the caller either hands over (`owned`, which
   /// must be `&query`) or keeps (null: cloned only if a build needs it).
@@ -249,7 +204,7 @@ class PolicyManager {
   const org::OrgModel* org_;
   const PolicyStore* store_;
   Rewriter rewriter_;
-  mutable Memo memo_;
+  mutable LruCache<PreparedEnforcement> memo_;
 };
 
 }  // namespace wfrm::policy

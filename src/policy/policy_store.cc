@@ -27,8 +27,25 @@ rel::Schema FilterSchema() {
 using NameSet = std::unordered_set<std::string, CaseInsensitiveHash,
                                    CaseInsensitiveEq>;
 
-NameSet ToSet(const std::vector<std::string>& names) {
-  return NameSet(names.begin(), names.end());
+/// §4.1 through the (Activity) index: the resource types some
+/// qualification policy names for one of `activities`. Caller holds the
+/// store's lock (shared suffices).
+NameSet DirectlyQualified(const rel::Database& db,
+                          const std::vector<std::string>& activities,
+                          ScanWork* work) {
+  NameSet qualified;
+  const rel::Table* quals = db.GetTable(kQualifications);
+  const rel::OrderedIndex* idx = quals->ordered_indexes()[0].get();
+  for (const std::string& a : activities) {
+    rel::IndexProbe probe;
+    probe.equals = {rel::Value::String(a)};
+    for (rel::RowId rid : idx->Scan(probe)) {
+      if (!quals->IsLive(rid)) continue;
+      ++work->candidate_rows;
+      qualified.insert(quals->row(rid)[1].string_value());
+    }
+  }
+  return qualified;
 }
 
 /// True when some disjunct of an activity range holds the bindings.
@@ -498,28 +515,7 @@ Status PolicyStore::AddPolicyText(std::string_view pl_text) {
   return Status::OK();
 }
 
-// ---- Cache plumbing -------------------------------------------------------
-
-std::string PolicyStore::RetrievalCacheKey(const char* tag,
-                                           const std::string& resource,
-                                           const std::string& activity,
-                                           const rel::ParamMap& spec) const {
-  std::string key;
-  AppendCacheKeyPart(&key, tag);
-  AppendCacheKeyPart(
-      &key, compiled_enabled_.load(std::memory_order_relaxed) ? "c1" : "c0");
-  AppendCacheKeyPart(&key, resource);
-  AppendCacheKeyPart(&key, activity);
-  // ParamMap iteration order is unspecified: sort for a canonical key.
-  std::vector<std::string> parts;
-  parts.reserve(spec.size());
-  for (const auto& [attr, value] : spec) {
-    parts.push_back(attr + "=" + value.ToString());
-  }
-  std::sort(parts.begin(), parts.end());
-  for (const std::string& p : parts) AppendCacheKeyPart(&key, p);
-  return key;
-}
+// ---- Counters --------------------------------------------------------------
 
 void PolicyStore::NoteRewriteLookup(CacheLookup outcome) const {
   switch (outcome) {
@@ -550,8 +546,8 @@ void PolicyStore::set_metrics(obs::MetricsRegistry* registry) {
   }
   const std::string lookups = "wfrm_store_cache_lookups_total";
   const std::string lookups_help =
-      "Enforcement cache probes by cache (retrieval memo tables vs the "
-      "rewritten-query LRU) and outcome";
+      "Enforcement cache probes by cache (compiled requirement tables vs "
+      "the prepared-enforcement memo) and outcome";
   metrics_.retrievals =
       registry->GetCounter("wfrm_store_retrievals_total", {},
                            "Relevant-policy retrievals entering the store");
@@ -583,19 +579,8 @@ Result<std::vector<std::string>> PolicyStore::QualifiedSubtypesLocked(
                         org_->activities().Ancestors(activity));
 
   // Resource types directly qualified for some super-type of `activity`.
-  NameSet qualified;
-  const rel::Table* quals = db_.GetTable(kQualifications);
-  const rel::OrderedIndex* idx = quals->ordered_indexes()[0].get();
   relations::ScanWork work;
-  for (const std::string& a : act_ancestors) {
-    rel::IndexProbe probe;
-    probe.equals = {rel::Value::String(a)};
-    for (rel::RowId rid : idx->Scan(probe)) {
-      if (!quals->IsLive(rid)) continue;
-      ++work.candidate_rows;
-      qualified.insert(quals->row(rid)[1].string_value());
-    }
-  }
+  const NameSet qualified = DirectlyQualified(db_, act_ancestors, &work);
   NoteWork(work);
 
   // §4.1: keep the sub-types of `resource` one of whose ancestors is
@@ -620,30 +605,8 @@ Result<std::vector<std::string>> PolicyStore::QualifiedSubtypes(
     const std::string& resource, const std::string& activity) const {
   NoteRetrieval();
   WFRM_RETURN_NOT_OK(EnsureHydratedForActivity(activity));
-  const bool use_cache = cache_enabled();
-  std::string key;
-  uint64_t observed_epoch = 0;
-  if (use_cache) {
-    key = RetrievalCacheKey("qual", resource, activity, {});
-    observed_epoch = epoch();
-    CacheLookup outcome;
-    if (auto hit = qualified_cache_.Get(key, observed_epoch, &outcome)) {
-      NoteRetrievalHit();
-      return *hit;
-    }
-    NoteRetrievalMiss(outcome);
-  }
-  Result<std::vector<std::string>> result = std::vector<std::string>{};
-  {
-    std::shared_lock<std::shared_mutex> lock(mu_);
-    result = QualifiedSubtypesLocked(resource, activity);
-  }
-  // Only publish results whose inputs were stable across the computation:
-  // a concurrent mutation would leave the entry half-old, half-new.
-  if (use_cache && result.ok() && epoch() == observed_epoch) {
-    qualified_cache_.Put(key, observed_epoch, *result);
-  }
-  return result;
+  std::shared_lock<std::shared_mutex> lock(mu_);
+  return QualifiedSubtypesLocked(resource, activity);
 }
 
 Result<bool> PolicyStore::IsQualified(const std::string& resource,
@@ -653,17 +616,17 @@ Result<bool> PolicyStore::IsQualified(const std::string& resource,
                         org_->activities().Ancestors(activity));
   WFRM_ASSIGN_OR_RETURN(std::vector<std::string> res_ancestors,
                         org_->resources().Ancestors(resource));
-  NameSet act_set = ToSet(act_ancestors);
-  NameSet res_set = ToSet(res_ancestors);
-  bool found = false;
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  db_.GetTable(kQualifications)->ForEach([&](rel::RowId, const rel::Row& row) {
-    if (res_set.count(row[1].string_value()) > 0 &&
-        act_set.count(row[2].string_value()) > 0) {
-      found = true;
-    }
-  });
-  return found;
+  relations::ScanWork work;
+  NameSet qualified;
+  {
+    std::shared_lock<std::shared_mutex> lock(mu_);
+    qualified = DirectlyQualified(db_, act_ancestors, &work);
+  }
+  NoteWork(work);
+  for (const std::string& anc : res_ancestors) {
+    if (qualified.count(anc) > 0) return true;
+  }
+  return false;
 }
 
 // ---- Requirement retrieval ---------------------------------------------------
@@ -688,7 +651,8 @@ PolicyStore::RelevantRequirementsFilterFirst(const std::string& resource,
 
 Result<std::shared_ptr<const CompiledPolicyTable>>
 PolicyStore::BuildCompiledLocked(const std::string& resource,
-                                 const std::string& activity) const {
+                                 const std::string& activity,
+                                 uint64_t epoch) const {
   WFRM_ASSIGN_OR_RETURN(std::vector<std::string> act_ancestors,
                         org_->activities().Ancestors(activity));
   WFRM_ASSIGN_OR_RETURN(std::vector<std::string> res_ancestors,
@@ -700,6 +664,7 @@ PolicyStore::BuildCompiledLocked(const std::string& resource,
             [](const auto& a, const auto& b) { return a.pid < b.pid; });
 
   auto table = std::make_shared<CompiledPolicyTable>();
+  table->epoch = epoch;
   table->pids.reserve(candidates.size());
   table->groups.reserve(candidates.size());
   table->num_intervals.reserve(candidates.size());
@@ -766,24 +731,28 @@ Result<std::vector<RelevantRequirement>>
 PolicyStore::RelevantRequirementsCompiled(const std::string& resource,
                                           const std::string& activity,
                                           const rel::ParamMap& spec) const {
-  std::string key;
-  AppendCacheKeyPart(&key, resource);
-  AppendCacheKeyPart(&key, activity);
+  // The ASCII unit separator keeps the two names apart.
+  std::string key = resource;
+  key += '\x1f';
+  key += activity;
   const uint64_t observed_epoch = epoch();
-  std::shared_ptr<const CompiledPolicyTable> table;
-  CacheLookup lookup;  // Build-vs-reuse is tracked by compiled_builds.
-  if (auto hit = compiled_cache_.Get(key, observed_epoch, &lookup)) {
-    table = std::move(*hit);
-  } else {
+  CacheLookup lookup;
+  std::shared_ptr<const CompiledPolicyTable> table = compiled_cache_.Get(
+      key,
+      [observed_epoch](const CompiledPolicyTable& t) {
+        return t.epoch == observed_epoch;
+      },
+      &lookup);
+  NoteCompiledLookup(lookup);
+  if (table == nullptr) {
     {
       std::shared_lock<std::shared_mutex> lock(mu_);
-      WFRM_ASSIGN_OR_RETURN(table, BuildCompiledLocked(resource, activity));
+      WFRM_ASSIGN_OR_RETURN(
+          table, BuildCompiledLocked(resource, activity, observed_epoch));
     }
     NoteCompiledBuild();
     // Publish only if no mutation raced the build.
-    if (epoch() == observed_epoch) {
-      compiled_cache_.Put(key, observed_epoch, table);
-    }
+    if (epoch() == observed_epoch) compiled_cache_.Put(key, table);
   }
 
   std::vector<std::pair<std::string, std::string>> enc_spec;
@@ -806,34 +775,12 @@ Result<std::vector<RelevantRequirement>> PolicyStore::RelevantRequirements(
   WFRM_ASSIGN_OR_RETURN(std::string act,
                         org_->activities().Canonical(activity));
   rel::ParamMap canonical_spec = relations::CanonicalizeSpec(*org_, act, spec);
-
-  const bool use_cache = cache_enabled();
-  std::string key;
-  uint64_t observed_epoch = 0;
-  if (use_cache) {
-    key = RetrievalCacheKey("req", res, act, canonical_spec);
-    observed_epoch = epoch();
-    CacheLookup outcome;
-    if (auto hit = requirement_cache_.Get(key, observed_epoch, &outcome)) {
-      NoteRetrievalHit();
-      return *hit;
-    }
-    NoteRetrievalMiss(outcome);
-  }
-
-  Result<std::vector<RelevantRequirement>> result =
-      std::vector<RelevantRequirement>{};
   if (compiled_enabled()) {
-    // Locks internally: shared while building; probes are lock-free.
-    result = RelevantRequirementsCompiled(res, act, canonical_spec);
-  } else {
-    std::shared_lock<std::shared_mutex> lock(mu_);
-    result = RelevantRequirementsFilterFirst(res, act, canonical_spec);
+    // Locks internally: shared while building; probes take no store lock.
+    return RelevantRequirementsCompiled(res, act, canonical_spec);
   }
-  if (use_cache && result.ok() && epoch() == observed_epoch) {
-    requirement_cache_.Put(key, observed_epoch, *result);
-  }
-  return result;
+  std::shared_lock<std::shared_mutex> lock(mu_);
+  return RelevantRequirementsFilterFirst(res, act, canonical_spec);
 }
 
 // ---- Substitution retrieval --------------------------------------------------
@@ -905,33 +852,8 @@ Result<std::vector<RelevantSubstitution>> PolicyStore::RelevantSubstitutions(
   WFRM_ASSIGN_OR_RETURN(std::string act,
                         org_->activities().Canonical(activity));
   rel::ParamMap canonical_spec = relations::CanonicalizeSpec(*org_, act, spec);
-
-  const bool use_cache = cache_enabled();
-  std::string key;
-  uint64_t observed_epoch = 0;
-  if (use_cache) {
-    key = RetrievalCacheKey("subst", res, act, canonical_spec);
-    AppendCacheKeyPart(&key, query_where ? query_where->ToString() : "");
-    observed_epoch = epoch();
-    CacheLookup outcome;
-    if (auto hit = substitution_cache_.Get(key, observed_epoch, &outcome)) {
-      NoteRetrievalHit();
-      return *hit;
-    }
-    NoteRetrievalMiss(outcome);
-  }
-
-  Result<std::vector<RelevantSubstitution>> result =
-      std::vector<RelevantSubstitution>{};
-  {
-    std::shared_lock<std::shared_mutex> lock(mu_);
-    result = RelevantSubstitutionsLocked(res, query_where, act,
-                                         canonical_spec);
-  }
-  if (use_cache && result.ok() && epoch() == observed_epoch) {
-    substitution_cache_.Put(key, observed_epoch, *result);
-  }
-  return result;
+  std::shared_lock<std::shared_mutex> lock(mu_);
+  return RelevantSubstitutionsLocked(res, query_where, act, canonical_spec);
 }
 
 Result<std::vector<PolicyStore::RequirementDiagnosis>>
@@ -1237,9 +1159,6 @@ Status PolicyStore::ImportImageLocked(const Image& image) {
   next_pid_ = image.next_pid;
   next_group_ = image.next_group;
   epoch_.store(image.epoch, std::memory_order_release);
-  qualified_cache_.Clear();
-  requirement_cache_.Clear();
-  substitution_cache_.Clear();
   compiled_cache_.Clear();
   return Status::OK();
 }

@@ -9,12 +9,12 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/lru_cache.h"
 #include "common/result.h"
 #include "obs/metrics.h"
 #include "org/org_model.h"
 #include "policy/compiled_policy.h"
 #include "policy/dnf.h"
-#include "policy/enforcement_cache.h"
 #include "policy/policy_ast.h"
 #include "rel/database.h"
 #include "rel/executor.h"
@@ -141,13 +141,14 @@ struct StoreStats {
   std::atomic<uint64_t> retrievals{0};
   std::atomic<uint64_t> candidate_rows{0};   // Policy rows inspected.
   std::atomic<uint64_t> interval_rows{0};    // Filter rows inspected.
-  // Enforcement-cache traffic (retrieval-level memo tables).
+  // Compiled-table lookups (requirement retrieval, compiled tables on).
   std::atomic<uint64_t> cache_hits{0};
   std::atomic<uint64_t> cache_misses{0};
-  /// Probes that found an entry tagged with an older epoch: a mutation
+  /// Probes of either cache that found an entry built at an older epoch
+  /// (or, for the prepared memo, an older org catalog): a mutation
   /// invalidated it between the fill and this probe.
   std::atomic<uint64_t> cache_invalidations{0};
-  // Rewritten-query LRU traffic (PolicyManager level).
+  // Prepared-enforcement memo traffic (PolicyManager level).
   std::atomic<uint64_t> rewrite_cache_hits{0};
   std::atomic<uint64_t> rewrite_cache_misses{0};
   // Compiled policy tables: lazy builds and warm probes.
@@ -284,11 +285,12 @@ rel::ParamMap CanonicalizeSpec(const org::OrgModel& org,
 /// Thread safety and caching: retrieval takes a shared lock, mutation an
 /// exclusive one, so concurrent read-only retrievals never serialize on
 /// each other. Every mutation — and every hierarchy edit in the backing
-/// OrgModel — bumps `epoch()`; qualification fan-out sets and relevant
-/// requirement/substitution row sets are memoized per (activity,
-/// resource, spec) tagged with the epoch they were computed at, so a
-/// repeated enforcement at an unchanged epoch is answered from the cache
-/// without touching the relations.
+/// OrgModel — bumps `epoch()`. The only derivation the store caches is
+/// the compiled table per (resource, activity), stamped with the epoch
+/// it was built at and dropped by the first probe at a newer one;
+/// qualification and substitution retrieval read the relations on every
+/// call. Whole enforcements are memoized above the store, in
+/// PolicyManager. Lock order: mu_ before the compiled cache's mutex.
 class PolicyStore {
  public:
   explicit PolicyStore(const org::OrgModel* org);
@@ -486,10 +488,12 @@ class PolicyStore {
     return epoch_.load(std::memory_order_acquire) + org_->hierarchy_version();
   }
 
-  /// Enables/disables the retrieval memo tables (default on). Disabling
-  /// is the ablation baseline for bench_cache; it does not clear
-  /// existing entries (re-enabling may hit them if the epoch still
-  /// matches).
+  /// Enables/disables the prepared-enforcement memo of every
+  /// PolicyManager over this store (default on); the store itself only
+  /// reads the switch out. Disabling is the ablation baseline for
+  /// bench_cache and the reference world of the stack benchmark; it does
+  /// not clear existing entries (re-enabling may hit them if the versions
+  /// still match).
   void set_cache_enabled(bool enabled) {
     cache_enabled_.store(enabled, std::memory_order_relaxed);
   }
@@ -498,10 +502,10 @@ class PolicyStore {
   }
 
   /// Enables/disables the compiled policy tables (default on): requirement
-  /// retrieval on a memo miss probes a flat per-attribute interval table
-  /// built lazily per (resource, activity) and cached keyed by the
-  /// mutation epoch. Disabling selects the indexed Filter-first plan, the
-  /// reference the compiled tables are tested and benched against.
+  /// retrieval probes a flat per-attribute interval table built lazily
+  /// per (resource, activity) and cached until the epoch moves. Disabling
+  /// selects the uncached indexed Filter-first plan, the reference the
+  /// compiled tables are tested and benched against.
   void set_compiled_enabled(bool enabled) {
     compiled_enabled_.store(enabled, std::memory_order_relaxed);
   }
@@ -515,10 +519,11 @@ class PolicyStore {
 
   /// Mirrors the StoreStats counters into `registry` (counter family
   /// `wfrm_store_cache_lookups_total{cache,outcome}` plus
-  /// `wfrm_store_retrievals_total`), covering the EpochCache memo tables
-  /// and the prepared-request memo. Instrument pointers are resolved
-  /// once here, so the per-probe cost is one relaxed atomic add. Call
-  /// before the store sees concurrent traffic; nullptr detaches.
+  /// `wfrm_store_retrievals_total`), covering the compiled tables
+  /// (`cache="retrieval"`) and the prepared-request memo (`"rewrite"`).
+  /// Instrument pointers are resolved once here, so the per-probe cost
+  /// is one relaxed atomic add. Call before the store sees concurrent
+  /// traffic; nullptr detaches.
   void set_metrics(obs::MetricsRegistry* registry);
 
   size_t num_qualification_rows() const {
@@ -568,12 +573,6 @@ class PolicyStore {
                                    const rel::Expr* with,
                                    std::vector<rel::Value> extra_columns);
 
-  /// Composite memo key; compiled and reference retrievals keep separate
-  /// entries, so each path's work counters stay meaningful.
-  std::string RetrievalCacheKey(const char* tag, const std::string& resource,
-                                const std::string& activity,
-                                const rel::ParamMap& spec) const;
-
   // The following helpers assume mu_ is held (shared suffices unless
   // noted) — they are the pre-concurrency retrieval bodies.
 
@@ -583,16 +582,18 @@ class PolicyStore {
   Result<std::vector<RelevantRequirement>> RelevantRequirementsFilterFirst(
       const std::string& resource, const std::string& activity,
       const rel::ParamMap& spec) const;
-  /// Compiled fast path (compiled_enabled): probe the flat
-  /// interval table for (resource, activity), building it lazily on an
-  /// epoch-keyed cache miss. Manages its own locking.
+  /// Compiled fast path (compiled_enabled): probe the flat interval
+  /// table for (resource, activity), building it under the shared lock
+  /// when the cache has none at the current epoch. Takes mu_ itself.
   Result<std::vector<RelevantRequirement>> RelevantRequirementsCompiled(
       const std::string& resource, const std::string& activity,
       const rel::ParamMap& spec) const;
   /// Lowers the candidate policies for (resource, activity) into a
-  /// CompiledPolicyTable. Caller holds mu_ (shared suffices).
+  /// CompiledPolicyTable stamped with `epoch`. Caller holds mu_ (shared
+  /// suffices).
   Result<std::shared_ptr<const CompiledPolicyTable>> BuildCompiledLocked(
-      const std::string& resource, const std::string& activity) const;
+      const std::string& resource, const std::string& activity,
+      uint64_t epoch) const;
   Result<std::vector<RelevantSubstitution>> RelevantSubstitutionsLocked(
       const std::string& resource, const rel::Expr* query_where,
       const std::string& activity, const rel::ParamMap& spec) const;
@@ -638,19 +639,19 @@ class PolicyStore {
     ++stats_.retrievals;
     if (metrics_.retrievals != nullptr) metrics_.retrievals->Increment();
   }
-  void NoteRetrievalHit() const {
-    ++stats_.cache_hits;
-    if (metrics_.hits != nullptr) metrics_.hits->Increment();
-  }
-  /// Outcome is kMiss or kStale (a hit takes NoteRetrievalHit).
-  void NoteRetrievalMiss(CacheLookup outcome) const {
-    if (outcome == CacheLookup::kStale) {
-      ++stats_.cache_invalidations;
-      if (metrics_.stale != nullptr) metrics_.stale->Increment();
-    } else {
-      ++stats_.cache_misses;
-      if (metrics_.misses != nullptr) metrics_.misses->Increment();
+  /// One compiled-table lookup.
+  void NoteCompiledLookup(CacheLookup outcome) const {
+    std::atomic<uint64_t>* stat = &stats_.cache_misses;
+    obs::Counter* metric = metrics_.misses;
+    if (outcome == CacheLookup::kHit) {
+      stat = &stats_.cache_hits;
+      metric = metrics_.hits;
+    } else if (outcome == CacheLookup::kStale) {
+      stat = &stats_.cache_invalidations;
+      metric = metrics_.stale;
     }
+    ++*stat;
+    if (metric != nullptr) metric->Increment();
   }
   void NoteWork(const relations::ScanWork& work) const {
     stats_.candidate_rows += work.candidate_rows;
@@ -684,13 +685,12 @@ class PolicyStore {
   std::atomic<uint64_t> epoch_{0};
   std::atomic<bool> cache_enabled_{true};
   std::atomic<bool> compiled_enabled_{true};
-  mutable EpochCache<std::vector<std::string>> qualified_cache_;
-  mutable EpochCache<std::vector<RelevantRequirement>> requirement_cache_;
-  mutable EpochCache<std::vector<RelevantSubstitution>> substitution_cache_;
-  /// Compiled flat interval tables per (resource, activity), epoch-keyed;
-  /// entries are immutable and shared, so probing needs no store lock.
-  mutable EpochCache<std::shared_ptr<const CompiledPolicyTable>>
-      compiled_cache_;
+  /// Compiled flat interval tables keyed by (resource, activity), each
+  /// served only at the epoch it was built at; entries are immutable and
+  /// shared, so a probe holds no store lock.
+  static constexpr size_t kCompiledTableCapacity = 8192;
+  mutable LruCache<CompiledPolicyTable> compiled_cache_{
+      kCompiledTableCapacity};
 
   /// Lazy hydration: durable backing and whether the in-memory tables
   /// are authoritative yet. hydrated_ defaults true (no lazy source).

@@ -115,7 +115,10 @@ std::string ChildToString(const Expr& child, int parent_prec) {
   if (child.kind() == Expr::Kind::kBinary) {
     const auto& b = static_cast<const BinaryExpr&>(child);
     if (Precedence(b.op()) < parent_prec) {
-      return "(" + child.ToString() + ")";
+      std::string out = "(";
+      out += child.ToString();
+      out += ')';
+      return out;
     }
   }
   return child.ToString();
@@ -130,15 +133,21 @@ std::string BinaryExpr::ToString() const {
 }
 
 std::string UnaryExpr::ToString() const {
+  std::string out;
   switch (op_) {
     case UnaryOp::kNot:
-      return "Not (" + operand_->ToString() + ")";
+      out += "Not (";
+      break;
     case UnaryOp::kNeg:
-      return "-" + operand_->ToString();
+      out += '-';
+      break;
     case UnaryOp::kPrior:
-      return "Prior " + operand_->ToString();
+      out += "Prior ";
+      break;
   }
-  return operand_->ToString();
+  out += operand_->ToString();
+  if (op_ == UnaryOp::kNot) out += ')';
+  return out;
 }
 
 ExprPtr InListExpr::Clone() const {
@@ -167,7 +176,10 @@ ExprPtr SubqueryExpr::Clone() const {
 }
 
 std::string SubqueryExpr::ToString() const {
-  return "(" + select_->ToString() + ")";
+  std::string out = "(";
+  out += select_->ToString();
+  out += ')';
+  return out;
 }
 
 InSubqueryExpr::InSubqueryExpr(ExprPtr needle,

@@ -9,21 +9,20 @@ namespace wfrm::rel {
 Result<std::shared_ptr<const PreparedQuery>> PlanCache::GetOrPrepare(
     const Executor& exec, const std::string& sql, PlanLookup* outcome) {
   const uint64_t version = exec.db()->catalog_version();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = map_.find(sql);
-    if (it != map_.end()) {
-      if (it->second.plan->catalog_version() == version) {
-        lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-        hits_.fetch_add(1, std::memory_order_relaxed);
-        if (outcome != nullptr) *outcome = PlanLookup::kHit;
-        return it->second.plan;
-      }
-      // Planned against an older catalog: drop and re-prepare below.
-      lru_.erase(it->second.lru_it);
-      map_.erase(it);
-      invalidations_.fetch_add(1, std::memory_order_relaxed);
-    }
+  CacheLookup lookup;
+  std::shared_ptr<const PreparedQuery> plan = cache_.Get(
+      sql,
+      [version](const PreparedQuery& p) {
+        return p.catalog_version() == version;
+      },
+      &lookup);
+  if (plan != nullptr) {
+    hits_.fetch_add(1, std::memory_order_relaxed);
+    if (outcome != nullptr) *outcome = PlanLookup::kHit;
+    return plan;
+  }
+  if (lookup == CacheLookup::kStale) {
+    invalidations_.fetch_add(1, std::memory_order_relaxed);
   }
   misses_.fetch_add(1, std::memory_order_relaxed);
   if (outcome != nullptr) *outcome = PlanLookup::kMiss;
@@ -31,35 +30,9 @@ Result<std::shared_ptr<const PreparedQuery>> PlanCache::GetOrPrepare(
   // Prepare outside the cache lock: parsing is the expensive part and
   // concurrent misses on different shapes should not serialize. Two
   // threads racing on the same SQL both prepare; last insert wins.
-  WFRM_ASSIGN_OR_RETURN(std::shared_ptr<const PreparedQuery> plan,
-                        exec.Prepare(sql));
-
-  std::lock_guard<std::mutex> lock(mu_);
-  if (capacity_ == 0) return plan;
-  auto it = map_.find(sql);
-  if (it != map_.end()) {
-    it->second.plan = plan;
-    lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-    return plan;
-  }
-  while (map_.size() >= capacity_ && !lru_.empty()) {
-    map_.erase(lru_.back());
-    lru_.pop_back();
-  }
-  lru_.push_front(sql);
-  map_.emplace(sql, Entry{plan, lru_.begin()});
+  WFRM_ASSIGN_OR_RETURN(plan, exec.Prepare(sql));
+  cache_.Put(sql, plan);
   return plan;
-}
-
-size_t PlanCache::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return map_.size();
-}
-
-void PlanCache::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  map_.clear();
-  lru_.clear();
 }
 
 }  // namespace wfrm::rel

@@ -3,12 +3,10 @@
 
 #include <atomic>
 #include <cstdint>
-#include <list>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 
+#include "common/lru_cache.h"
 #include "common/result.h"
 #include "rel/sql_ast.h"
 
@@ -49,9 +47,9 @@ class PreparedQuery {
 
 /// Outcome of one PlanCache probe.
 enum class PlanLookup {
-  kHit,          // Entry present at the current catalog version.
-  kMiss,         // No entry under the SQL text.
-  kInvalidated,  // Entry present but planned against an older catalog.
+  kHit,   // Entry present at the current catalog version.
+  kMiss,  // No entry under the SQL text, or one planned against an older
+          // catalog (dropped; counted in invalidations()).
 };
 
 /// Bounded LRU of prepared queries keyed by SQL text. An entry is served
@@ -62,7 +60,7 @@ enum class PlanLookup {
 /// shared_ptr copy.
 class PlanCache {
  public:
-  explicit PlanCache(size_t capacity = 64) : capacity_(capacity) {}
+  explicit PlanCache(size_t capacity = 64) : cache_(capacity) {}
 
   PlanCache(const PlanCache&) = delete;
   PlanCache& operator=(const PlanCache&) = delete;
@@ -74,9 +72,9 @@ class PlanCache {
       const Executor& exec, const std::string& sql,
       PlanLookup* outcome = nullptr);
 
-  size_t size() const;
-  size_t capacity() const { return capacity_; }
-  void Clear();
+  size_t size() const { return cache_.size(); }
+  size_t capacity() const { return cache_.capacity(); }
+  void Clear() { cache_.Clear(); }
 
   uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
   uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
@@ -86,16 +84,7 @@ class PlanCache {
   }
 
  private:
-  struct Entry {
-    std::shared_ptr<const PreparedQuery> plan;
-    std::list<std::string>::iterator lru_it;
-  };
-
-  size_t capacity_;
-  mutable std::mutex mu_;
-  /// Front = most recently used.
-  std::list<std::string> lru_;
-  std::unordered_map<std::string, Entry> map_;
+  LruCache<PreparedQuery> cache_;
   std::atomic<uint64_t> hits_{0};
   std::atomic<uint64_t> misses_{0};
   std::atomic<uint64_t> invalidations_{0};

@@ -35,16 +35,21 @@ SelectItem SelectItem::Clone() const {
 std::string SelectItem::ToString() const {
   std::string out;
   if (is_star) {
-    out = "*";
+    out += '*';
   } else if (aggregate == AggregateFn::kCountStar) {
-    out = "Count(*)";
+    out += "Count(*)";
   } else if (aggregate != AggregateFn::kNone) {
-    out = std::string(AggregateFnToString(aggregate)) + "(" +
-          expr->ToString() + ")";
+    out += AggregateFnToString(aggregate);
+    out += '(';
+    out += expr->ToString();
+    out += ')';
   } else {
-    out = expr->ToString();
+    out += expr->ToString();
   }
-  if (!alias.empty()) out += " As " + alias;
+  if (!alias.empty()) {
+    out += " As ";
+    out += alias;
+  }
   return out;
 }
 

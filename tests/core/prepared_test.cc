@@ -38,7 +38,10 @@ std::string Render(const Result<QueryOutcome>& result) {
   out += "schema " + o.resources.schema.ToString() + "\n";
   for (const rel::Row& row : o.resources.rows) {
     out += "row";
-    for (const rel::Value& v : row) out += " " + v.ToString();
+    for (const rel::Value& v : row) {
+      out += ' ';
+      out += v.ToString();
+    }
     out += "\n";
   }
   for (const org::ResourceRef& ref : o.candidates) {
@@ -360,17 +363,20 @@ TEST(PreparedConcurrencyTest, SubmitsBesideEpochBumpingMutator) {
   for (int round = 0; round < 40; ++round) {
     auto group = world->store->AddRequirement(policy);
     ASSERT_TRUE(group.ok());
+    std::string id = "p";
+    id += std::to_string(round);
     ASSERT_TRUE(world->org
-                    ->AddResource("Programmer", "p" + std::to_string(round),
+                    ->AddResource("Programmer", id,
                                   {{"Location", rel::Value::String("PA")},
                                    {"Language", rel::Value::String("Spanish")},
                                    {"Experience", rel::Value::Int(round)}})
                     .ok());
     if (round % 10 == 0) {
+      std::string relationship = "R";
+      relationship += std::to_string(round);
       ASSERT_TRUE(world->org
-                      ->DefineRelationship(
-                          "R" + std::to_string(round),
-                          {{"A", rel::DataType::kString}})
+                      ->DefineRelationship(relationship,
+                                           {{"A", rel::DataType::kString}})
                       .ok());
     }
     ASSERT_TRUE(world->store->RemoveRequirementGroup(*group).ok());

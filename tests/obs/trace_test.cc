@@ -129,7 +129,9 @@ TEST(EnforcementTraceTest, ToJsonContainsQueryAndSpans) {
 TEST(TraceSinkTest, BoundedCapacityDropsOldest) {
   TraceSink sink(2);
   for (int i = 0; i < 3; ++i) {
-    auto t = std::make_shared<EnforcementTrace>("q" + std::to_string(i));
+    std::string query = "q";
+    query += std::to_string(i);
+    auto t = std::make_shared<EnforcementTrace>(query);
     t->Finish();
     sink.Add(std::move(t));
   }

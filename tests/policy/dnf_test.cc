@@ -201,11 +201,13 @@ TEST(DnfPropertyTest, DnfEquivalentToDirectEvaluation) {
       return std::string(attrs[attr_dist(rng)]) + " " + ops[op_dist(rng)] +
              " " + std::to_string(val_dist(rng));
     }
-    if (shape < 6) {
-      return "(" + build(depth + 1) + " And " + build(depth + 1) + ")";
-    }
     if (shape < 8) {
-      return "(" + build(depth + 1) + " Or " + build(depth + 1) + ")";
+      std::string out = "(";
+      out += build(depth + 1);
+      out += shape < 6 ? " And " : " Or ";
+      out += build(depth + 1);
+      out += ')';
+      return out;
     }
     return "Not (" + build(depth + 1) + ")";
   };

@@ -1,5 +1,5 @@
-// Concurrency stress for the shared-lock store and the epoch cache:
-// reader threads retrieve and enforce continuously while a writer
+// Concurrency stress for the shared-lock store and the epoch-checked
+// caches: reader threads retrieve and enforce continuously while a writer
 // mutates the policy base (and another edits the hierarchy). Every
 // observed result must be one of the two valid snapshots — the base
 // policy set, or the base set plus the complete marker policy — never
@@ -29,6 +29,12 @@ constexpr char kMarkerWhere[] = "Experience > 42";
 constexpr char kMarkerPolicy[] =
     "Require Programmer Where Experience > 42 For Programming "
     "With NumberOfLines > 1000";
+
+// Two DNF disjuncts, both enclosing Figure 4's specification: a
+// retrieval sees both marker rows or neither.
+constexpr char kMarkerSubstitution[] =
+    "Substitute Engineer By Analyst Where Experience > 42 For Programming "
+    "With NumberOfLines > 1000 Or Location = 'Mexico'";
 
 constexpr int kReaders = 4;
 constexpr int kReaderIterations = 400;
@@ -103,6 +109,77 @@ TEST_F(StoreConcurrencyTest, ReadersNeverObserveTornRetrievals) {
   for (auto& t : readers) t.join();
   writer.join();
   EXPECT_EQ(violations.load(), 0);
+}
+
+TEST_F(StoreConcurrencyTest, ReadersNeverObserveTornSubstitutions) {
+  auto query = rql::ParseAndBindRql(kFigure4, *org_);
+  ASSERT_TRUE(query.ok()) << query.status().ToString();
+  const rel::ParamMap spec = query->spec.AsParams();
+  const rel::Expr* where = query->select->where.get();
+  auto is_marker = [](const RelevantSubstitution& row) {
+    return row.substituting_resource == "Analyst";
+  };
+
+  auto base = store_->RelevantSubstitutions("Engineer", where, "Programming",
+                                            spec);
+  ASSERT_TRUE(base.ok()) << base.status().ToString();
+  std::set<int64_t> base_pids;
+  for (const auto& row : *base) base_pids.insert(row.pid);
+  ASSERT_FALSE(base_pids.empty());
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> violations{0};
+
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&] {
+      for (int i = 0; i < kReaderIterations && !stop.load(); ++i) {
+        auto r = store_->RelevantSubstitutions("Engineer", where,
+                                               "Programming", spec);
+        if (!r.ok()) {
+          ++violations;
+          continue;
+        }
+        std::set<int64_t> seen;
+        int marker_rows = 0;
+        for (const auto& row : *r) {
+          if (is_marker(row)) {
+            ++marker_rows;
+          } else {
+            seen.insert(row.pid);
+          }
+        }
+        // The base set in full, plus the whole marker group or none.
+        if (seen != base_pids || (marker_rows != 0 && marker_rows != 2)) {
+          ++violations;
+        }
+      }
+    });
+  }
+
+  std::thread writer([&] {
+    for (int i = 0; i < kWriterCycles; ++i) {
+      auto parsed = ParsePolicy(kMarkerSubstitution);
+      ASSERT_TRUE(parsed.ok());
+      auto group = store_->AddPolicy(*parsed);
+      ASSERT_TRUE(group.ok());
+      ASSERT_TRUE(store_->RemoveSubstitutionGroup(*group).ok());
+    }
+    stop.store(true);
+  });
+
+  for (auto& t : readers) t.join();
+  writer.join();
+  EXPECT_EQ(violations.load(), 0);
+
+  // The marker really is a two-row group the readers could see.
+  auto parsed = ParsePolicy(kMarkerSubstitution);
+  ASSERT_TRUE(parsed.ok());
+  ASSERT_TRUE(store_->AddPolicy(*parsed).ok());
+  auto with_marker = store_->RelevantSubstitutions("Engineer", where,
+                                                   "Programming", spec);
+  ASSERT_TRUE(with_marker.ok());
+  EXPECT_EQ(with_marker->size(), base_pids.size() + 2);
 }
 
 TEST_F(StoreConcurrencyTest, EnforcementNeverServesTornRewrites) {

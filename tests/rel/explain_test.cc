@@ -14,7 +14,9 @@ class ExplainTest : public ::testing::Test {
                                                {"Salary", DataType::kInt}}));
     ASSERT_TRUE(t->CreateOrderedIndex("by_dept_sal", {"Dept", "Salary"}).ok());
     for (int i = 0; i < 10; ++i) {
-      ASSERT_TRUE(t->Insert({Value::String("e" + std::to_string(i)),
+      std::string name = "e";
+      name += std::to_string(i);
+      ASSERT_TRUE(t->Insert({Value::String(name),
                              Value::String(i % 2 ? "eng" : "ops"),
                              Value::Int(i * 100)})
                       .ok());

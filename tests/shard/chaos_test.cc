@@ -60,7 +60,8 @@ constexpr char kBigJob[] =
     "For Programming With NumberOfLines = 20000 And Location = 'PA'";
 
 std::string InsertStatement(int i) {
-  std::string id = "p" + std::to_string(i);
+  std::string id = "p";
+  id += std::to_string(i);
   return "Insert Resource Programmer '" + id + "' (ContactInfo = '" + id +
          "@x.com', Location = 'PA', Experience = " + std::to_string(i % 20) +
          ");";

@@ -133,7 +133,16 @@ TEST_F(PagerBtreeTest, SingleUpsertCommitsKeepTheFileBounded) {
   PagerOptions options;
   options.page_size = 1024;  // 126 free-list entries per chain page.
   constexpr int kEntries = 4000;
-  auto key = [](int i) { return "key" + std::to_string(100000 + i); };
+  auto key = [](int i) {
+    std::string k = "key";
+    k += std::to_string(100000 + i);
+    return k;
+  };
+  auto value = [](int c) {
+    std::string v = "v";
+    v += std::to_string(c);
+    return v;
+  };
   uint64_t root = 0;
   {
     auto pager = Pager::Open(path, options);
@@ -145,8 +154,7 @@ TEST_F(PagerBtreeTest, SingleUpsertCommitsKeepTheFileBounded) {
     ASSERT_TRUE((*pager)->Commit(std::to_string(tree.root())).ok());
     const uint64_t loaded = (*pager)->page_count();
     for (int c = 1; c <= 600; ++c) {
-      ASSERT_TRUE(tree.Put(key(c * 7 % kEntries), "v" + std::to_string(c))
-                      .ok());
+      ASSERT_TRUE(tree.Put(key(c * 7 % kEntries), value(c)).ok());
       ASSERT_TRUE((*pager)->Commit(std::to_string(tree.root())).ok());
       ASSERT_LE((*pager)->page_count(), loaded + 16) << "after commit " << c;
     }
@@ -158,7 +166,7 @@ TEST_F(PagerBtreeTest, SingleUpsertCommitsKeepTheFileBounded) {
   BTree tree(reopened->get(), root);
   std::map<int, std::string> last;
   for (int c = 1; c <= 600; ++c) {
-    last[c * 7 % kEntries] = "v" + std::to_string(c);
+    last[c * 7 % kEntries] = value(c);
   }
   for (int i = 0; i < kEntries; ++i) {
     auto got = tree.Get(key(i));
@@ -236,7 +244,8 @@ void RunDifferential(const std::string& path, uint64_t seed, int ops,
   auto make_key = [&](int i) {
     // Variable-length keys keep node occupancy irregular, which is what
     // exercises the split/merge boundaries.
-    std::string key = "k" + std::to_string(i);
+    std::string key = "k";
+    key += std::to_string(i);
     key.append(static_cast<size_t>(i % 37), 'x');
     return key;
   };
@@ -370,13 +379,18 @@ TEST_F(PagerBtreeTest, BloomFalsePositiveRateStaysNearTarget) {
 
 TEST_F(PagerBtreeTest, BloomSurvivesSerialization) {
   BloomFilter bloom = BloomFilter::ForEntries(500, 0.01);
-  for (int i = 0; i < 500; ++i) bloom.Add("a" + std::to_string(i));
+  auto name = [](int i) {
+    std::string s = "a";
+    s += std::to_string(i);
+    return s;
+  };
+  for (int i = 0; i < 500; ++i) bloom.Add(name(i));
   auto restored = BloomFilter::Deserialize(bloom.Serialize());
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   EXPECT_EQ(restored->bit_count(), bloom.bit_count());
   EXPECT_EQ(restored->hash_count(), bloom.hash_count());
   for (int i = 0; i < 500; ++i) {
-    EXPECT_TRUE(restored->MayContain("a" + std::to_string(i))) << i;
+    EXPECT_TRUE(restored->MayContain(name(i))) << i;
   }
 }
 
